@@ -36,6 +36,7 @@ void BM_SpMM(benchmark::State& state) {
     benchmark::DoNotOptimize(y.data());
   }
   state.SetItemsProcessed(state.iterations() * norm.nnz() * 32);
+  state.SetLabel(ops::KernelIsa());
 }
 BENCHMARK(BM_SpMM)->Arg(2000)->Arg(8000)->Arg(32000);
 
@@ -66,8 +67,45 @@ void BM_Transformation(benchmark::State& state) {
     benchmark::DoNotOptimize(y.data());
   }
   state.SetItemsProcessed(state.iterations() * n * 64 * 64);
+  state.SetLabel(ops::KernelIsa());
 }
 BENCHMARK(BM_Transformation)->Arg(2000)->Arg(8000);
+
+/// Weight gradient of the FB MLP's first layer: x^T g with x 80000 x 32 and
+/// g 80000 x 64 (k = 80000 rows reduced into a 32 x 64 output).
+void BM_GemmTransA(benchmark::State& state) {
+  const int64_t n = state.range(0);
+  Rng rng(2);
+  Matrix x(n, 32), g(n, 64), dw(32, 64);
+  x.FillNormal(&rng);
+  g.FillNormal(&rng);
+  for (auto _ : state) {
+    ops::GemmTransA(x, g, &dw);
+    benchmark::DoNotOptimize(dw.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * n * 32 * 64);
+  state.SetLabel(ops::KernelIsa());
+}
+BENCHMARK(BM_GemmTransA)->Arg(80000);
+
+/// Input gradient of the FB MLP's output layer: g W^T with g 80000 x 2 and
+/// W 64 x 2 (an 80000 x 64 output from a 2-wide inner dimension).
+void BM_GemmTransB(benchmark::State& state) {
+  const int64_t n = state.range(0);
+  Rng rng(3);
+  Matrix g(n, 2), w(64, 2), dx(n, 64);
+  g.FillNormal(&rng);
+  w.FillNormal(&rng);
+  for (auto _ : state) {
+    ops::GemmTransB(g, w, &dx);
+    benchmark::DoNotOptimize(dx.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * n * 2 * 64);
+  state.SetLabel(ops::KernelIsa());
+}
+BENCHMARK(BM_GemmTransB)->Arg(80000);
 
 /// Per-type filter forward cost on the same graph (Table 1 Time column).
 void BM_FilterForward(benchmark::State& state,

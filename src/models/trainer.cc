@@ -104,6 +104,7 @@ TrainResult TrainFullBatch(const graph::Graph& g, const graph::Splits& splits,
                            bool capture_embeddings) {
   TrainResult result;
   result.stats.threads = parallel::NumThreads();
+  result.stats.isa = ops::KernelIsa();
   auto& tracker = DeviceTracker::Global();
   tracker.ClearOom();
   tracker.ResetPeak();
@@ -255,6 +256,7 @@ TrainResult TrainMiniBatch(const graph::Graph& g, const graph::Splits& splits,
     return result;
   }
   result.stats.threads = parallel::NumThreads();
+  result.stats.isa = ops::KernelIsa();
   auto& tracker = DeviceTracker::Global();
   tracker.ClearOom();
   tracker.ResetPeak();

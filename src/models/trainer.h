@@ -79,6 +79,9 @@ struct StageStats {
   /// at run start); journaled so efficiency rows are comparable across
   /// machines and SGNN_NUM_THREADS settings.
   int threads = 1;
+  /// ISA the SpMM/GEMM kernels ran on (ops::KernelIsa()); empty in journal
+  /// rows written before it was recorded.
+  std::string isa;
   /// Shard count propagation ran with (0 = unsharded).
   int shards = 0;
   /// Shard-hops whose working set exceeded the per-shard accelerator

@@ -225,6 +225,8 @@ std::string EncodeRecord(const std::string& bench, const CellRecord& record) {
   out += ",\"ram_bytes\":" + std::to_string(record.stats.peak_ram_bytes);
   out += ",\"accel_bytes\":" + std::to_string(record.stats.peak_accel_bytes);
   out += ",\"threads\":" + std::to_string(record.stats.threads);
+  out += ",\"isa\":";
+  AppendEscaped(record.stats.isa, &out);
   out += ",\"shards\":" + std::to_string(record.stats.shards);
   out += ",\"shard_spills\":" + std::to_string(record.stats.shard_spills);
   out += ",\"wall_ms\":" + FmtDouble(record.wall_ms);
@@ -280,6 +282,7 @@ Result<CellRecord> DecodeRecord(const std::string& line) {
   if (parser.GetDouble("threads", &num)) {
     r.stats.threads = static_cast<int>(num);
   }
+  if (const std::string* s = parser.GetString("isa")) r.stats.isa = *s;
   if (parser.GetDouble("shards", &num)) {
     r.stats.shards = static_cast<int>(num);
   }

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <utility>
 
+#include "tensor/ops.h"
 #include "tensor/parallel.h"
 #include "eval/table.h"
 #include "tensor/device.h"
@@ -38,10 +39,11 @@ CellRecord Supervisor::Skip(const CellKey& key, CellStatus status,
   record.status = status;
   record.detail = std::move(detail);
   record.final_scheme = key.scheme;
-  // Skips never ran a trainer, so stamp the thread count here; every
-  // journal row then carries it (bench rows are comparable across
-  // SGNN_NUM_THREADS settings).
+  // Skips never ran a trainer, so stamp the thread count and kernel ISA
+  // here; every journal row then carries them (bench rows are comparable
+  // across SGNN_NUM_THREADS settings and CPUs).
   record.stats.threads = parallel::NumThreads();
+  record.stats.isa = ops::KernelIsa();
   journal_->Append(bench_, record);
   return record;
 }

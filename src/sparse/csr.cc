@@ -1,8 +1,7 @@
 #include "sparse/csr.h"
 
-#include <cstring>
-
 #include "tensor/parallel.h"
+#include "tensor/simd.h"
 
 namespace sgnn::sparse {
 
@@ -16,6 +15,26 @@ int64_t RowGrain(int64_t n, int64_t nnz, int64_t f) {
   const int64_t avg_row_flops = (n > 0 ? nnz / n + 1 : 1) * (f > 0 ? f : 1);
   return parallel::GrainForFlops(avg_row_flops, int64_t{1} << 16);
 }
+
+/// Output rows [lo, hi) of the SpMM: each row sums its nonzeros' scaled x
+/// rows in ascending p, compiled once per ISA by simd::Dispatch.
+struct SpmmRows {
+  static SGNN_SIMD_INLINE void Run(const int64_t* indptr,
+                                   const int32_t* indices, const float* values,
+                                   const float* x, int64_t f, int64_t lo,
+                                   int64_t hi, float* out) {
+    for (int64_t i = lo; i < hi; ++i) {
+      const int64_t begin = indptr[i];
+      simd::AccumulateRow<float, /*kSkipZero=*/false, /*kAccumulate=*/false>(
+          indptr[i + 1] - begin,
+          [&](int64_t t) {
+            return simd::Term<float>{values[begin + t],
+                                     x + indices[begin + t] * f};
+          },
+          f, out + i * f);
+    }
+  }
+};
 
 }  // namespace
 
@@ -117,15 +136,9 @@ void CsrMatrix::SpMM(const Matrix& x, Matrix* out) const {
   // the parallel result is bit-identical to the serial one.
   parallel::ParallelFor(
       0, n_, RowGrain(n_, nnz(), f), [&](int64_t lo, int64_t hi) {
-        for (int64_t i = lo; i < hi; ++i) {
-          float* orow = out->row(i);
-          std::memset(orow, 0, static_cast<size_t>(f) * sizeof(float));
-          for (int64_t p = indptr_[i]; p < indptr_[i + 1]; ++p) {
-            const float w = values_[p];
-            const float* xrow = x.row(indices_[p]);
-            for (int64_t j = 0; j < f; ++j) orow[j] += w * xrow[j];
-          }
-        }
+        simd::Dispatch<SpmmRows>(indptr_.data(), indices_.data(),
+                                 values_.data(), x.data(), f, lo, hi,
+                                 out->data());
       });
 }
 

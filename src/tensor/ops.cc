@@ -1,9 +1,12 @@
 #include "tensor/ops.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <vector>
 
 #include "tensor/parallel.h"
+#include "tensor/simd.h"
 
 namespace sgnn::ops {
 
@@ -20,28 +23,83 @@ int64_t RowGrain(int64_t row_flops) {
   return parallel::GrainForFlops(row_flops, int64_t{1} << 16);
 }
 
+/// Upper bound on GemmTransA's chunk count (see there).
+constexpr int64_t kTransAChunks = 8;
+
+/// GemmTransA's k-block: 256 rows of b (64 KB at m = 64) stay cache-resident
+/// while every output row of the chunk accumulates over them.
+constexpr int64_t kTransABlock = 256;
+
+// Kernel bodies, instantiated once per ISA by simd::Dispatch.
+
+/// out rows [lo, hi) of a (n x k) * b (k x m), skipping zero a entries.
+struct GemmRows {
+  static SGNN_SIMD_INLINE void Run(const float* a, const float* b, int64_t k,
+                                   int64_t m, int64_t lo, int64_t hi,
+                                   float* out) {
+    for (int64_t i = lo; i < hi; ++i) {
+      const float* arow = a + i * k;
+      simd::AccumulateRow<float, /*kSkipZero=*/true, /*kAccumulate=*/false>(
+          k,
+          [&](int64_t kk) { return simd::Term<float>{arow[kk], b + kk * m}; },
+          m, out + i * m);
+    }
+  }
+};
+
+/// out rows [lo, hi) += rows of a^T b for a (k x n), b (k x m), k-blocked:
+/// each block accumulates into the stored tile, which round-trips exactly.
+struct GemmTransARows {
+  static SGNN_SIMD_INLINE void Run(const float* a, const float* b, int64_t k,
+                                   int64_t n, int64_t m, int64_t lo,
+                                   int64_t hi, float* out) {
+    for (int64_t k0 = 0; k0 < k; k0 += kTransABlock) {
+      const int64_t terms = std::min(kTransABlock, k - k0);
+      for (int64_t i = lo; i < hi; ++i) {
+        const float* acol = a + k0 * n + i;
+        const float* bblock = b + k0 * m;
+        simd::AccumulateRow<float, /*kSkipZero=*/true, /*kAccumulate=*/true>(
+            terms,
+            [&](int64_t t) {
+              return simd::Term<float>{acol[t * n], bblock + t * m};
+            },
+            m, out + i * m);
+      }
+    }
+  }
+};
+
+/// out rows [lo, hi) of a (n x k) * panel (k x m, double), summed in
+/// double and rounded once.
+struct GemmTransBRows {
+  static SGNN_SIMD_INLINE void Run(const float* a, const double* panel,
+                                   int64_t k, int64_t m, int64_t lo,
+                                   int64_t hi, float* out) {
+    for (int64_t i = lo; i < hi; ++i) {
+      const float* arow = a + i * k;
+      simd::AccumulateRow<double, /*kSkipZero=*/false, /*kAccumulate=*/false>(
+          k,
+          [&](int64_t kk) {
+            return simd::Term<double>{arow[kk], panel + kk * m};
+          },
+          m, out + i * m);
+    }
+  }
+};
+
 }  // namespace
+
+const char* KernelIsa() { return simd::HasAvx2() ? "avx2" : "generic"; }
 
 void Gemm(const Matrix& a, const Matrix& b, Matrix* out) {
   SGNN_CHECK(a.cols() == b.rows(), "Gemm: inner dimensions mismatch");
   SGNN_CHECK(out->rows() == a.rows() && out->cols() == b.cols(),
              "Gemm: output shape mismatch");
   const int64_t n = a.rows(), k = a.cols(), m = b.cols();
-  out->Fill(0.0f);
-  // Row-partitioned over `out`; within a row the i-k-j order streams through
-  // b and out contiguously and accumulates kk in ascending order, so the
-  // parallel result is bit-identical to the serial one.
+  // Row-partitioned over `out`; each row accumulates kk in ascending order
+  // (simd.h), so the parallel result is bit-identical to the serial one.
   parallel::ParallelFor(0, n, RowGrain(k * m), [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) {
-      const float* arow = a.row(i);
-      float* orow = out->row(i);
-      for (int64_t kk = 0; kk < k; ++kk) {
-        const float av = arow[kk];
-        if (av == 0.0f) continue;
-        const float* brow = b.row(kk);
-        for (int64_t j = 0; j < m; ++j) orow[j] += av * brow[j];
-      }
-    }
+    simd::Dispatch<GemmRows>(a.data(), b.data(), k, m, lo, hi, out->data());
   });
 }
 
@@ -51,20 +109,16 @@ void GemmTransA(const Matrix& a, const Matrix& b, Matrix* out) {
              "GemmTransA: output shape mismatch");
   const int64_t k = a.rows(), n = a.cols(), m = b.cols();
   out->Fill(0.0f);
-  // i-outer so each chunk owns a row range of `out` (the kk-outer order
-  // would race on out rows). Per output element the kk accumulation is
-  // still ascending, so any thread count gives the same bits.
-  parallel::ParallelFor(0, n, RowGrain(k * m), [&](int64_t lo, int64_t hi) {
-    for (int64_t kk = 0; kk < k; ++kk) {
-      const float* arow = a.row(kk);
-      const float* brow = b.row(kk);
-      for (int64_t i = lo; i < hi; ++i) {
-        const float av = arow[i];
-        if (av == 0.0f) continue;
-        float* orow = out->row(i);
-        for (int64_t j = 0; j < m; ++j) orow[j] += av * brow[j];
-      }
-    }
+  // Each chunk owns a row range of `out` (a kk-partition would race on out
+  // rows) and streams both operands once. Per output element the kk
+  // accumulation is still ascending, so any thread count gives the same
+  // bits. At most ~kTransAChunks chunks: every chunk re-reads the k-row
+  // operands, so finer chunks only multiply the traffic.
+  const int64_t grain = std::max((n + kTransAChunks - 1) / kTransAChunks,
+                                 RowGrain(k * m));
+  parallel::ParallelFor(0, n, grain, [&](int64_t lo, int64_t hi) {
+    simd::Dispatch<GemmTransARows>(a.data(), b.data(), k, n, m, lo, hi,
+                                   out->data());
   });
 }
 
@@ -73,17 +127,20 @@ void GemmTransB(const Matrix& a, const Matrix& b, Matrix* out) {
   SGNN_CHECK(out->rows() == a.rows() && out->cols() == b.rows(),
              "GemmTransB: output shape mismatch");
   const int64_t n = a.rows(), k = a.cols(), m = b.rows();
-  parallel::ParallelFor(0, n, RowGrain(k * m), [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) {
-      const float* arow = a.row(i);
-      float* orow = out->row(i);
-      for (int64_t j = 0; j < m; ++j) {
-        const float* brow = b.row(j);
-        double acc = 0.0;
-        for (int64_t kk = 0; kk < k; ++kk) acc += double(arow[kk]) * brow[kk];
-        orow[j] = static_cast<float>(acc);
-      }
+  // b^T as a k x m panel of doubles, so a row of `out` is a column-vector
+  // accumulation like Gemm's. Widening float to double is exact, so each
+  // element keeps its ascending-kk double sum. Host scratch, not a
+  // DeviceTracker allocation: it is freed before the call returns.
+  std::vector<double> panel(static_cast<size_t>(k * m));
+  for (int64_t j = 0; j < m; ++j) {
+    const float* brow = b.row(j);
+    for (int64_t kk = 0; kk < k; ++kk) {
+      panel[static_cast<size_t>(kk * m + j)] = brow[kk];
     }
+  }
+  parallel::ParallelFor(0, n, RowGrain(k * m), [&](int64_t lo, int64_t hi) {
+    simd::Dispatch<GemmTransBRows>(a.data(), panel.data(), k, m, lo, hi,
+                                   out->data());
   });
 }
 

@@ -10,6 +10,11 @@
 
 namespace sgnn::ops {
 
+/// ISA the SpMM/GEMM kernels run on: "avx2" or "generic" (baseline x86-64
+/// or a non-x86 build). Results are bit-identical either way; journal rows
+/// and benches record it so kernel timings are comparable.
+const char* KernelIsa();
+
 /// out = a * b. Shapes: (n,k) x (k,m) -> (n,m). `out` is overwritten and must
 /// be pre-shaped; aliasing with inputs is not allowed.
 void Gemm(const Matrix& a, const Matrix& b, Matrix* out);

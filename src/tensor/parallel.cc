@@ -24,11 +24,16 @@ int HardwareThreads() {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-int EnvThreads() {
-  const char* env = std::getenv("SGNN_NUM_THREADS");
-  if (env == nullptr || env[0] == '\0') return 0;
-  const int n = std::atoi(env);
-  return n > 0 ? n : 1;  // malformed/zero value means "serial", not crash
+/// Thread count without a SetNumThreads override: SGNN_NUM_THREADS, else
+/// hardware concurrency. Read once — ParallelFor asks on every call.
+int DefaultThreads() {
+  static const int threads = [] {
+    const char* env = std::getenv("SGNN_NUM_THREADS");
+    if (env == nullptr || env[0] == '\0') return HardwareThreads();
+    const int n = std::atoi(env);
+    return n > 0 ? n : 1;  // malformed/zero value means "serial", not crash
+  }();
+  return threads;
 }
 
 std::atomic<int> g_override{0};
@@ -173,10 +178,7 @@ class Pool {
 
 int NumThreads() {
   const int forced = g_override.load(std::memory_order_relaxed);
-  if (forced > 0) return forced;
-  const int env = EnvThreads();
-  if (env > 0) return env;
-  return HardwareThreads();
+  return forced > 0 ? forced : DefaultThreads();
 }
 
 void SetNumThreads(int n) {

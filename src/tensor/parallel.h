@@ -33,7 +33,9 @@ namespace sgnn::parallel {
 using ChunkFn = std::function<void(int64_t, int64_t)>;
 
 /// Threads used by subsequent ParallelFor calls (>= 1). Resolution order:
-/// SetNumThreads override, SGNN_NUM_THREADS, hardware concurrency.
+/// SetNumThreads override, SGNN_NUM_THREADS, hardware concurrency. The
+/// environment is read once, on the first call; later changes to it are
+/// not seen.
 int NumThreads();
 
 /// Overrides the thread count for subsequent calls (bench sweeps, tests).

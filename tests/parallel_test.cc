@@ -9,9 +9,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdlib>
 #include <cstring>
 #include <mutex>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -148,6 +150,24 @@ TEST(ParallelConfig, OverrideBeatsEnvironment) {
   EXPECT_EQ(parallel::NumThreads(), 3);
   parallel::SetNumThreads(0);
   EXPECT_GE(parallel::NumThreads(), 1);
+}
+
+TEST(ParallelConfig, ClearingOverrideRestoresEnvOrHardwareDefault) {
+  // The default is resolved once; SetNumThreads(0) must fall back to it.
+  const char* env = std::getenv("SGNN_NUM_THREADS");
+  int expected = 0;
+  if (env != nullptr && env[0] != '\0') {
+    expected = std::max(1, std::atoi(env));
+  } else {
+    expected = std::max(
+        1, static_cast<int>(std::thread::hardware_concurrency()));
+  }
+  EXPECT_EQ(parallel::NumThreads(), expected);
+  parallel::SetNumThreads(expected + 2);
+  EXPECT_EQ(parallel::NumThreads(), expected + 2);
+  parallel::SetNumThreads(0);
+  EXPECT_EQ(parallel::NumThreads(), expected);
+  EXPECT_EQ(parallel::NumThreads(), expected);  // stable across calls
 }
 
 TEST(ParallelConfig, GrainAndChunkHelpers) {

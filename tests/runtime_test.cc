@@ -21,6 +21,7 @@
 #include "runtime/retry.h"
 #include "runtime/supervisor.h"
 #include "tensor/device.h"
+#include "tensor/ops.h"
 #include "tensor/rng.h"
 
 namespace sgnn::runtime {
@@ -64,6 +65,8 @@ TEST(JournalRecord, EncodeDecodeRoundTrip) {
   r.stats.infer_ms = 3.0;
   r.stats.peak_ram_bytes = 12345;
   r.stats.peak_accel_bytes = 67890;
+  r.stats.threads = 4;
+  r.stats.isa = "avx2";
   r.wall_ms = 812.5;
   r.extras.emplace_back("sil", 0.42);
   r.extras.emplace_back("ratio", 1.25);
@@ -81,6 +84,8 @@ TEST(JournalRecord, EncodeDecodeRoundTrip) {
   EXPECT_DOUBLE_EQ(d.stats.train_ms_per_epoch, r.stats.train_ms_per_epoch);
   EXPECT_EQ(d.stats.peak_ram_bytes, r.stats.peak_ram_bytes);
   EXPECT_EQ(d.stats.peak_accel_bytes, r.stats.peak_accel_bytes);
+  EXPECT_EQ(d.stats.threads, 4);
+  EXPECT_EQ(d.stats.isa, "avx2");
   EXPECT_DOUBLE_EQ(d.wall_ms, r.wall_ms);
   EXPECT_DOUBLE_EQ(d.Extra("sil"), 0.42);
   EXPECT_DOUBLE_EQ(d.Extra("ratio"), 1.25);
@@ -159,6 +164,39 @@ TEST(Journal, ToleratesTornFinalLine) {
   EXPECT_EQ(j.replayed(), 1u);
   EXPECT_NE(j.Find({"d", "f", "fb", 1, ""}), nullptr);
   std::remove(path.c_str());
+}
+
+TEST(Journal, ResumesRowsWrittenBeforeIsaWasRecorded) {
+  const std::string path = TempPath("journal_no_isa.jsonl");
+  std::remove(path.c_str());
+  {
+    // A terminal row in the format journaled before "isa" existed.
+    std::ofstream f(path);
+    f << "{\"bench\":\"t\",\"dataset\":\"cora_sim\",\"filter\":\"ppr\","
+         "\"scheme\":\"fb\",\"seed\":1,\"variant\":\"\",\"terminal\":true,"
+         "\"status\":\"OK\",\"final_scheme\":\"fb\",\"fell_back\":false,"
+         "\"attempts\":1,\"detail\":\"\",\"val\":0.8,\"test\":0.75,"
+         "\"loss\":0.5,\"pre_ms\":0,\"train_ms\":3.5,\"infer_ms\":1,"
+         "\"ram_bytes\":100,\"accel_bytes\":200,\"threads\":4,"
+         "\"shards\":0,\"shard_spills\":0,\"wall_ms\":12}\n";
+  }
+  Journal j(path);
+  EXPECT_EQ(j.replayed(), 1u);
+  const CellRecord* found = j.Find({"cora_sim", "ppr", "fb", 1, ""});
+  ASSERT_NE(found, nullptr);
+  EXPECT_DOUBLE_EQ(found->test_metric, 0.75);
+  EXPECT_EQ(found->stats.threads, 4);
+  EXPECT_EQ(found->stats.isa, "");
+  std::remove(path.c_str());
+}
+
+TEST(Supervisor, SkipStampsKernelIsa) {
+  Supervisor sup("test", "");
+  const CellRecord skipped =
+      sup.Skip({"d", "f", "fb", 1, ""}, CellStatus::kSkipped, "probe");
+  EXPECT_EQ(skipped.stats.isa, ops::KernelIsa());
+  const CellRecord back = DecodeRecord(EncodeRecord("t", skipped)).value();
+  EXPECT_EQ(back.stats.isa, ops::KernelIsa());
 }
 
 TEST(FaultPlanParse, ParsesFullPlan) {
@@ -316,6 +354,7 @@ TEST(Supervisor, FullBatchOomFallsBackToMiniBatch) {
   EXPECT_TRUE(rec.ok());
   EXPECT_TRUE(rec.fell_back);
   EXPECT_EQ(rec.final_scheme, "mb");
+  EXPECT_EQ(rec.stats.isa, ops::KernelIsa());
   EXPECT_EQ(rec.attempts, 2);
   EXPECT_GT(rec.test_metric, 0.5);
 

@@ -196,12 +196,14 @@ int main(int argc, char** argv) {
   const auto summary = eval::Summarize(metrics);
   std::printf(
       "\n%s / %s / %s: test %s  pre %.1f ms  train %.1f ms/ep  infer %.1f ms"
-      "  ram %s  accel %s%s\n",
+      "  ram %s  accel %s  isa %s%s\n",
       dataset.c_str(), filter_name.c_str(), scheme.c_str(),
       eval::FmtMeanStd(summary.mean, summary.stddev).c_str(),
       last_stats.precompute_ms, last_stats.train_ms_per_epoch,
       last_stats.infer_ms, FormatBytes(last_stats.peak_ram_bytes).c_str(),
       FormatBytes(last_stats.peak_accel_bytes).c_str(),
+      // Rows resumed from a journal written before the ISA was recorded.
+      last_stats.isa.empty() ? "unknown" : last_stats.isa.c_str(),
       any_bad ? last_marker.c_str() : "");
   if (last_stats.shards > 1) {
     std::printf("sharded: K=%d  spills=%lld\n", last_stats.shards,
