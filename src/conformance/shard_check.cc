@@ -4,7 +4,6 @@
 #include <sstream>
 #include <utility>
 
-#include "core/lazy.h"
 #include "core/registry.h"
 #include "shard/plan.h"
 #include "shard/spmm.h"
@@ -43,7 +42,6 @@ Result<ShardReport> CheckShardConformance(const std::string& filter_name,
   report.shard_counts = shard_counts;
   report.tolerance = OracleTolerance(filter_name);
   report.forward_bit_identical = true;
-  report.lazy_bit_identical = true;
   report.precompute_bit_identical = true;
 
   filters::FilterContext ctx;
@@ -70,19 +68,9 @@ Result<ShardReport> CheckShardConformance(const std::string& filter_name,
     filter->Forward(sharded_ctx, x, &y_k, /*cache=*/false);
     if (!BitIdentical(y_base, y_k)) {
       report.forward_bit_identical = false;
-      report.detail = "eager forward differs at K=" + std::to_string(k);
+      report.detail = "forward differs at K=" + std::to_string(k);
     }
     y_sharded = std::move(y_k);
-
-    if (filter->SupportsLazy()) {
-      Matrix y_lazy;
-      SGNN_RETURN_IF_ERROR(
-          filters::LazyForward(filter.get(), sharded_ctx, x, &y_lazy));
-      if (!BitIdentical(y_base, y_lazy)) {
-        report.lazy_bit_identical = false;
-        report.detail = "lazy forward differs at K=" + std::to_string(k);
-      }
-    }
 
     if (filter->SupportsMiniBatch()) {
       std::vector<Matrix> terms_k;
@@ -103,7 +91,7 @@ Result<ShardReport> CheckShardConformance(const std::string& filter_name,
                                     x, options.hops, &degenerate);
   if (degenerate) {
     report.skipped = true;
-    report.pass = report.forward_bit_identical && report.lazy_bit_identical &&
+    report.pass = report.forward_bit_identical &&
                   report.precompute_bit_identical;
     if (report.pass) {
       report.detail = "lanczos breakdown: dense reference undefined";
@@ -112,12 +100,12 @@ Result<ShardReport> CheckShardConformance(const std::string& filter_name,
   }
 
   report.rel_error = RelativeFrobenius(y_sharded, ref);
-  report.pass = report.forward_bit_identical && report.lazy_bit_identical &&
+  report.pass = report.forward_bit_identical &&
                 report.precompute_bit_identical &&
                 report.rel_error <= report.tolerance;
   if (report.pass) {
     report.detail.clear();
-  } else if (report.forward_bit_identical && report.lazy_bit_identical &&
+  } else if (report.forward_bit_identical &&
              report.precompute_bit_identical) {
     report.detail = "sharded forward diverges from dense spectral operator";
   }
@@ -153,7 +141,6 @@ std::string FormatShardReports(const std::vector<ShardReport>& reports) {
       os << (i > 0 ? "," : "") << r.shard_counts[i];
     }
     os << "}  fwd=" << (r.forward_bit_identical ? "exact" : "DIFF")
-       << " lazy=" << (r.lazy_bit_identical ? "exact" : "DIFF")
        << " pre=" << (r.precompute_bit_identical ? "exact" : "DIFF");
     if (!r.skipped) {
       os << " rel=" << r.rel_error << " tol=" << r.tolerance;

@@ -148,24 +148,22 @@ class SpectralFilter {
   /// Learnable coefficient group (empty for fixed filters).
   virtual nn::ScalarParams& params() = 0;
 
-  // — Lazy op-graph recording (docs/OPGRAPH.md) —
+  // — Op-graph recording (docs/OPGRAPH.md) —
 
-  /// True when the filter can record Forward/Precompute onto an
-  /// opgraph::Graph for fused, memory-planned execution. Filters with
-  /// irregular basis streams (Bernstein, OptBasis) and factored product
-  /// forms stay eager-only.
+  /// True when the filter records Forward/Precompute onto an opgraph::Graph
+  /// for fused, memory-planned execution: every polynomial-basis and mixture
+  /// bank filter except OptBasis (signal-dependent Lanczos norms). The
+  /// factored product forms and AdaGNN run their own kernels.
   virtual bool SupportsLazy() const { return false; }
 
   /// Records y = g(L̃; θ) x as graph nodes and returns the output value.
-  /// `adj` applies Ã. The recorded kernel sequence must match eager
-  /// Forward bit-for-bit. Only valid when SupportsLazy().
+  /// `adj` applies Ã. Only valid when SupportsLazy().
   virtual opgraph::ValueId RecordForward(opgraph::Graph* graph,
                                          opgraph::ValueId x,
                                          const opgraph::SpmmOperator* adj);
 
   /// Records the Precompute term stream, appending one value per term in
-  /// the exact order/count eager Precompute emits. Only valid when
-  /// SupportsLazy().
+  /// the order Precompute emits them. Only valid when SupportsLazy().
   [[nodiscard]] virtual Status RecordPrecompute(
       opgraph::Graph* graph, opgraph::ValueId x,
       const opgraph::SpmmOperator* adj,
@@ -180,10 +178,6 @@ void Adj(const FilterContext& ctx, const Matrix& x, Matrix* y);
 
 /// y = L̃ x = x - Ã x.
 void Lap(const FilterContext& ctx, const Matrix& x, Matrix* y);
-
-/// y = (cI + dÃ) x.
-void Affine(const FilterContext& ctx, float c, float d, const Matrix& x,
-            Matrix* y);
 
 }  // namespace propagate
 

@@ -1,16 +1,17 @@
-// Lazy execution drivers: record a filter's Forward / Precompute onto an
-// op-graph, fuse + plan + execute it (docs/OPGRAPH.md).
+// Op-graph execution drivers: record a filter computation onto an op-graph,
+// then fuse + plan + execute it (docs/OPGRAPH.md). This is the propagation
+// path of every recorded filter: PolynomialBasisFilter's Forward, Backward
+// and Precompute all run through RunOnGraph, and the dense
+// eigendecomposition oracle (sgnn_conformance) judges its results.
 //
 // This header is where the opgraph and sparse layers meet: opgraph itself
 // never includes sparse/, so the CSR propagation matrix is adapted onto
-// opgraph::SpmmOperator here, one layer up. Results are bit-identical to the
-// eager Forward/Precompute calls they replace; eager stays the oracle
-// (sgnn_conformance --mode=lazy gates this path against the dense
-// eigendecomposition reference).
+// opgraph::SpmmOperator here, one layer up.
 
 #ifndef SGNN_CORE_LAZY_H_
 #define SGNN_CORE_LAZY_H_
 
+#include <functional>
 #include <vector>
 
 #include "core/filter.h"
@@ -33,17 +34,30 @@ class CsrSpmmOperator : public opgraph::SpmmOperator {
   const sparse::CsrMatrix* prop_;
 };
 
-/// y = g(L̃; θ) x via record → fuse → plan → execute. Returns NotImplemented
-/// for filters without lazy support (callers keep the eager path), and
-/// OutOfMemory when execution newly latched the simulated accelerator OOM
-/// flag (results are still fully computed; see opgraph/executor.h).
+/// Records one computation over the graph input `x`; pins its results with
+/// Graph::MarkOutput.
+using GraphRecorder =
+    std::function<Status(opgraph::Graph* graph, opgraph::ValueId x,
+                         const opgraph::SpmmOperator* adj)>;
+
+/// Runs `record` on a fresh op-graph on ctx.device (where `x` must live),
+/// with `adj` applying ctx.op when set, else ctx.prop; then fuses, plans and
+/// executes it. Returns the recorder's error, or OutOfMemory when execution
+/// newly latched the simulated accelerator OOM flag (results are still fully
+/// computed; see opgraph/executor.h).
+[[nodiscard]] Status RunOnGraph(const FilterContext& ctx, const Matrix& x,
+                                const GraphRecorder& record,
+                                opgraph::PipelineStats* stats = nullptr);
+
+/// y = g(L̃; θ) x via RunOnGraph. Returns NotImplemented for filters without
+/// op-graph recording, and OutOfMemory as RunOnGraph does.
 [[nodiscard]] Status LazyForward(SpectralFilter* filter,
                                  const FilterContext& ctx, const Matrix& x,
                                  Matrix* y,
                                  opgraph::PipelineStats* stats = nullptr);
 
-/// Lazy mirror of SpectralFilter::Precompute: emits the same terms in the
-/// same order, each planned directly into its slot of `terms`.
+/// SpectralFilter::Precompute via RunOnGraph: each term is planned directly
+/// into its slot of `terms`.
 [[nodiscard]] Status LazyPrecompute(SpectralFilter* filter,
                                     const FilterContext& ctx, const Matrix& x,
                                     std::vector<Matrix>* terms,

@@ -1,5 +1,6 @@
 #include "core/poly_base.h"
 
+#include "core/lazy.h"
 #include "tensor/ops.h"
 
 namespace sgnn::filters {
@@ -33,19 +34,13 @@ void Lap(const FilterContext& ctx, const Matrix& x, Matrix* y) {
   ops::Axpy(1.0f, x, y);
 }
 
-void Affine(const FilterContext& ctx, float c, float d, const Matrix& x,
-            Matrix* y) {
-  ctx.Propagate(x, y);
-  ops::Scale(d, y);
-  ops::Axpy(c, x, y);
-}
-
 }  // namespace propagate
 
 opgraph::ValueId SpectralFilter::RecordForward(opgraph::Graph* /*graph*/,
                                                opgraph::ValueId /*x*/,
                                                const opgraph::SpmmOperator*) {
-  SGNN_CHECK(false, "RecordForward called on a filter without lazy support");
+  SGNN_CHECK(false,
+             "RecordForward called on a filter without op-graph recording");
   return opgraph::kNoValue;
 }
 
@@ -53,7 +48,60 @@ Status SpectralFilter::RecordPrecompute(opgraph::Graph* /*graph*/,
                                         opgraph::ValueId /*x*/,
                                         const opgraph::SpmmOperator* /*adj*/,
                                         std::vector<opgraph::ValueId>*) {
-  return Status::NotImplemented("filter has no lazy op-graph recording");
+  return Status::NotImplemented("filter has no op-graph recording");
+}
+
+Status RunOnGraph(const FilterContext& ctx, const Matrix& x,
+                  const GraphRecorder& record, opgraph::PipelineStats* stats) {
+  SGNN_CHECK(ctx.op != nullptr || ctx.prop != nullptr,
+             "op-graph execution requires a propagation operator");
+  // A propagation override (e.g. shard::ShardedSpmmOperator) already speaks
+  // the op-graph's abstract operator interface; otherwise adapt the CSR.
+  const CsrSpmmOperator csr_adj(ctx.prop);
+  const opgraph::SpmmOperator* adj = ctx.op != nullptr ? ctx.op : &csr_adj;
+  opgraph::Graph graph(ctx.device);
+  SGNN_RETURN_IF_ERROR(record(&graph, graph.Input(&x), adj));
+  return opgraph::RunPipeline(&graph, stats);
+}
+
+namespace {
+
+Status CheckRecordable(const SpectralFilter& filter) {
+  if (filter.SupportsLazy()) return Status::OK();
+  return Status::NotImplemented("filter '" + filter.name() +
+                                "' has no op-graph recording");
+}
+
+}  // namespace
+
+Status LazyForward(SpectralFilter* filter, const FilterContext& ctx,
+                   const Matrix& x, Matrix* y,
+                   opgraph::PipelineStats* stats) {
+  SGNN_RETURN_IF_ERROR(CheckRecordable(*filter));
+  return RunOnGraph(
+      ctx, x,
+      [&](opgraph::Graph* graph, opgraph::ValueId in,
+          const opgraph::SpmmOperator* adj) {
+        graph->MarkOutput(filter->RecordForward(graph, in, adj), y);
+        return Status::OK();
+      },
+      stats);
+}
+
+Status LazyPrecompute(SpectralFilter* filter, const FilterContext& ctx,
+                      const Matrix& x, std::vector<Matrix>* terms,
+                      opgraph::PipelineStats* stats) {
+  SGNN_RETURN_IF_ERROR(CheckRecordable(*filter));
+  return RunOnGraph(
+      ctx, x,
+      [&](opgraph::Graph* graph, opgraph::ValueId in,
+          const opgraph::SpmmOperator* adj) {
+        std::vector<opgraph::ValueId> ids;
+        SGNN_RETURN_IF_ERROR(filter->RecordPrecompute(graph, in, adj, &ids));
+        graph->MarkOutputs(ids, terms);
+        return Status::OK();
+      },
+      stats);
 }
 
 PolynomialBasisFilter::PolynomialBasisFilter(std::string name, FilterType type,
@@ -100,37 +148,13 @@ PolynomialBasisFilter::Recurrence PolynomialBasisFilter::RecurrenceAt(
   return Recurrence{1.0, 0.0, 0.0};
 }
 
-void PolynomialBasisFilter::StreamBasis(const FilterContext& ctx,
-                                        const Matrix& x,
-                                        const TermEmitter& emit) {
-  // Generic three-term recurrence. Keeps at most two live terms.
-  Matrix prev;             // T_{k-2} x
-  Matrix cur = x;          // T_{k-1} x (T_0 = I)
-  emit(0, cur);
-  Matrix scratch(x.rows(), x.cols(), ctx.device);
-  for (int k = 1; k <= hops_; ++k) {
-    const Recurrence r = RecurrenceAt(k);
-    Matrix next(x.rows(), x.cols(), ctx.device);
-    ctx.Propagate(cur, &scratch);
-    ops::Copy(scratch, &next);
-    ops::Scale(static_cast<float>(r.ca), &next);
-    if (r.ci != 0.0) ops::Axpy(static_cast<float>(r.ci), cur, &next);
-    if (r.cp != 0.0 && prev.size() > 0)
-      ops::Axpy(static_cast<float>(r.cp), prev, &next);
-    emit(k, next);
-    prev = std::move(cur);
-    cur = std::move(next);
-  }
-}
-
 void PolynomialBasisFilter::RecordBasis(opgraph::Graph* graph,
                                         opgraph::ValueId x,
                                         const opgraph::SpmmOperator* adj,
-                                        const LazyTermEmitter& emit) const {
-  // Mirrors the default StreamBasis hop for hop: the kFusedSpmmAffine node
-  // the fusion pass forms from Spmm→Scale→Axpy replays SpMM + Scale +
-  // conditional Axpys on the same float values, so results stay
-  // bit-identical to eager (the eager scratch→next copy is exact).
+                                        const BasisEmitter& emit) const {
+  // Generic three-term recurrence. The fusion pass collapses each hop's
+  // Spmm→Scale→Axpy chain into one kFusedSpmmAffine node, and the planner
+  // keeps at most prev/cur/next live unless the terms are pinned.
   opgraph::ValueId prev = opgraph::kNoValue;
   opgraph::ValueId cur = x;
   emit(0, cur);
@@ -148,18 +172,26 @@ void PolynomialBasisFilter::RecordBasis(opgraph::Graph* graph,
   }
 }
 
-opgraph::ValueId PolynomialBasisFilter::RecordForward(
+opgraph::ValueId PolynomialBasisFilter::RecordWeightedSum(
     opgraph::Graph* graph, opgraph::ValueId x,
-    const opgraph::SpmmOperator* adj) {
+    const opgraph::SpmmOperator* adj,
+    std::vector<opgraph::ValueId>* terms) const {
   const std::vector<double> theta = CurrentTheta();
-  // Zero + Axpy chain (skipping θ_k == 0) replicates eager Forward's
-  // zero-filled y and conditional accumulation — including signed zeros.
+  // Zero + Axpy chain skipping θ_k == 0; the planner pins the whole chain
+  // into the caller's output matrix.
   opgraph::ValueId acc = graph->Zero(graph->rows(x), graph->cols(x));
   RecordBasis(graph, x, adj, [&](int k, opgraph::ValueId term) {
     const double w = theta[static_cast<size_t>(k)];
     if (w != 0.0) acc = graph->Axpy(static_cast<float>(w), term, acc);
+    if (terms != nullptr) terms->push_back(term);
   });
   return acc;
+}
+
+opgraph::ValueId PolynomialBasisFilter::RecordForward(
+    opgraph::Graph* graph, opgraph::ValueId x,
+    const opgraph::SpmmOperator* adj) {
+  return RecordWeightedSum(graph, x, adj, nullptr);
 }
 
 Status PolynomialBasisFilter::RecordPrecompute(
@@ -196,27 +228,33 @@ std::vector<double> PolynomialBasisFilter::ScalarBasis(double lambda,
 
 void PolynomialBasisFilter::Forward(const FilterContext& ctx, const Matrix& x,
                                     Matrix* y, bool cache) {
-  const std::vector<double> theta = CurrentTheta();
-  *y = Matrix(x.rows(), x.cols(), ctx.device);
+  // Variable filters pin every basis term straight into cached_terms_ for
+  // the θ-gradient; fixed filters pin only y.
   const bool keep_terms = cache && type_ != FilterType::kFixed;
-  if (keep_terms) {
-    cached_terms_.clear();
-    cached_terms_.reserve(static_cast<size_t>(hops_) + 1);
-  }
-  StreamBasis(ctx, x, [&](int k, const Matrix& term) {
-    const double w = theta[static_cast<size_t>(k)];
-    if (w != 0.0) ops::Axpy(static_cast<float>(w), term, y);
-    if (keep_terms) cached_terms_.push_back(term);
-  });
+  const Status status = RunOnGraph(
+      ctx, x,
+      [&](opgraph::Graph* graph, opgraph::ValueId in,
+          const opgraph::SpmmOperator* adj) {
+        std::vector<opgraph::ValueId> terms;
+        graph->MarkOutput(
+            RecordWeightedSum(graph, in, adj, keep_terms ? &terms : nullptr),
+            y);
+        graph->MarkOutputs(terms, &cached_terms_);
+        return Status::OK();
+      });
+  // The only failure RunOnGraph can report here is a newly latched simulated
+  // OOM, after every output is computed. Forward returns no status: the
+  // DeviceTracker latch carries the signal to the trainers' RunGuard, as for
+  // any over-capacity allocation.
+  (void)status;
   has_cache_ = keep_terms;
 }
 
 void PolynomialBasisFilter::Backward(const FilterContext& ctx,
                                      const Matrix& grad_y, Matrix* grad_x) {
-  const std::vector<double> theta = CurrentTheta();
   if (type_ != FilterType::kFixed) {
     SGNN_CHECK(has_cache_, "Backward requires Forward(cache=true)");
-    std::vector<double> eff_grad(theta.size(), 0.0);
+    std::vector<double> eff_grad(cached_terms_.size(), 0.0);
     for (size_t k = 0; k < cached_terms_.size(); ++k) {
       eff_grad[k] = ops::Dot(grad_y, cached_terms_[k]);
     }
@@ -224,12 +262,9 @@ void PolynomialBasisFilter::Backward(const FilterContext& ctx,
   }
   if (grad_x != nullptr) {
     // Bases are polynomials of the symmetric L̃ => g(L̃)ᵀ = g(L̃); replay the
-    // stream on the upstream gradient.
-    *grad_x = Matrix(grad_y.rows(), grad_y.cols(), ctx.device);
-    StreamBasis(ctx, grad_y, [&](int k, const Matrix& term) {
-      const double w = theta[static_cast<size_t>(k)];
-      if (w != 0.0) ops::Axpy(static_cast<float>(w), term, grad_x);
-    });
+    // recorded forward on the upstream gradient.
+    const Status status = LazyForward(this, ctx, grad_y, grad_x);
+    (void)status;  // a latched OOM stays on the tracker, as in Forward
   }
 }
 
@@ -251,18 +286,9 @@ double PolynomialBasisFilter::Response(double lambda) const {
 Status PolynomialBasisFilter::Precompute(const FilterContext& ctx,
                                          const Matrix& x,
                                          std::vector<Matrix>* terms) {
-  terms->clear();
-  if (type_ == FilterType::kFixed) {
-    // Fixed filters fold θ during precompute: a single combined matrix.
-    Matrix y;
-    Forward(ctx, x, &y, /*cache=*/false);
-    terms->push_back(std::move(y));
-    return Status::OK();
-  }
-  terms->reserve(static_cast<size_t>(hops_) + 1);
-  StreamBasis(ctx, x,
-              [&](int /*k*/, const Matrix& term) { terms->push_back(term); });
-  return Status::OK();
+  const Status status = LazyPrecompute(this, ctx, x, terms);
+  // A latched OOM stays on the tracker, as in Forward.
+  return status.code() == StatusCode::kOutOfMemory ? Status::OK() : status;
 }
 
 void PolynomialBasisFilter::CombineTerms(const std::vector<const Matrix*>& batch_terms,

@@ -1,14 +1,16 @@
 // Shared machinery for polynomial-basis spectral filters.
 //
-// A PolynomialBasisFilter is defined by (a) a basis stream that emits
-// T^(k)(L̃)·x for k = 0..K via iterative propagation, (b) the matching scalar
-// recurrence on λ for the frequency response, and (c) a θ parameterization
-// (constant for fixed filters, learnable otherwise, possibly reparameterized
-// as in ChebNetII's interpolation).
+// A PolynomialBasisFilter is defined by (a) a recorded basis that emits
+// T^(k)(L̃)·x for k = 0..K as op-graph values (docs/OPGRAPH.md), (b) the
+// matching scalar recurrence on λ for the frequency response, and (c) a θ
+// parameterization (constant for fixed filters, learnable otherwise, possibly
+// reparameterized as in ChebNetII's interpolation).
 //
-// Memory model (matches paper Table 1): fixed filters stream terms and keep
-// O(1) live matrices; variable filters cache all K+1 basis terms for the
-// θ-gradient — the K-fold RAM/GPU multiplier the paper measures.
+// Forward, Backward and Precompute all record the basis once and run it
+// through the op-graph pipeline (fuse → plan → execute). The planner realizes
+// the paper's Table 1 memory model: fixed filters keep O(nF) live, while
+// variable filters pin all K+1 basis terms as outputs for the θ-gradient —
+// the K-fold RAM/GPU multiplier the paper measures.
 
 #ifndef SGNN_CORE_POLY_BASE_H_
 #define SGNN_CORE_POLY_BASE_H_
@@ -21,14 +23,11 @@
 
 namespace sgnn::filters {
 
-/// Callback receiving basis term k (valid only during the call).
-using TermEmitter = std::function<void(int k, const Matrix& term)>;
-
 /// Callback receiving the recorded graph value for basis term k.
-using LazyTermEmitter = std::function<void(int k, opgraph::ValueId term)>;
+using BasisEmitter = std::function<void(int k, opgraph::ValueId term)>;
 
 /// Base class implementing Forward/Backward/Precompute/Response on top of a
-/// subclass-provided basis stream.
+/// subclass-provided recorded basis.
 class PolynomialBasisFilter : public SpectralFilter {
  public:
   PolynomialBasisFilter(std::string name, FilterType type, int hops,
@@ -54,9 +53,8 @@ class PolynomialBasisFilter : public SpectralFilter {
   void BackwardCombine(const std::vector<const Matrix*>& batch_terms,
                        const Matrix& grad_y) override;
 
-  /// Recurrence-driven bases record onto the op-graph for fused execution;
-  /// subclasses overriding StreamBasis with irregular streams must either
-  /// override RecordBasis to match or opt out by returning false here.
+  /// Every basis records onto the op-graph; OptBasis, whose Lanczos norms
+  /// depend on intermediate values, overrides its entry points and opts out.
   bool SupportsLazy() const override { return true; }
   opgraph::ValueId RecordForward(opgraph::Graph* graph, opgraph::ValueId x,
                                  const opgraph::SpmmOperator* adj) override;
@@ -66,18 +64,13 @@ class PolynomialBasisFilter : public SpectralFilter {
       std::vector<opgraph::ValueId>* terms) override;
 
  protected:
-  /// Streams T^(k)(L̃)·x for k = 0..ctx.hops. Default implementation drives
-  /// ScalarRecurrenceStep's matrix analogue; subclasses with irregular bases
-  /// (Bernstein, Favard, OptBasis) override.
-  virtual void StreamBasis(const FilterContext& ctx, const Matrix& x,
-                           const TermEmitter& emit);
-
-  /// Lazy mirror of StreamBasis: records T^(k)(L̃)·x for k = 0..hops as
-  /// graph nodes, emitting the same term values in the same order. The
-  /// default drives RecurrenceAt exactly like the default StreamBasis.
+  /// Records T^(k)(L̃)·x for k = 0..hops as graph nodes, emitting each term
+  /// value in order. The default drives the RecurrenceAt three-term
+  /// recurrence; subclasses with irregular bases (Bernstein, the bank
+  /// channels) override.
   virtual void RecordBasis(opgraph::Graph* graph, opgraph::ValueId x,
                            const opgraph::SpmmOperator* adj,
-                           const LazyTermEmitter& emit) const;
+                           const BasisEmitter& emit) const;
 
   /// Scalar basis values τ_k(λ) for k = 0..hops (same recurrence on scalars,
   /// with Ã ↦ 1-λ and L̃ ↦ λ).
@@ -85,7 +78,7 @@ class PolynomialBasisFilter : public SpectralFilter {
 
   /// Generic three-term recurrence coefficients for hop k >= 1:
   ///   T_k = (ca·Ã + ci·I) T_{k-1} + cp·T_{k-2}
-  /// Subclasses using the default StreamBasis/ScalarBasis implement this.
+  /// Subclasses using the default RecordBasis/ScalarBasis implement this.
   struct Recurrence {
     double ca = 1.0;  ///< coefficient on Ã T_{k-1}
     double ci = 0.0;  ///< coefficient on T_{k-1}
@@ -114,10 +107,17 @@ class PolynomialBasisFilter : public SpectralFilter {
   FilterHyperParams hp_;
   nn::ScalarParams params_;
 
-  /// Effective θ validated to K+1 entries (used by eager and lazy paths).
+  /// Effective θ validated to K+1 entries.
   std::vector<double> CurrentTheta() const;
 
  private:
+  /// Records the basis over `x` and its θ-weighted sum (returned),
+  /// appending each term value to `terms` when non-null.
+  opgraph::ValueId RecordWeightedSum(
+      opgraph::Graph* graph, opgraph::ValueId x,
+      const opgraph::SpmmOperator* adj,
+      std::vector<opgraph::ValueId>* terms) const;
+
   std::string name_;
   FilterType type_;
   int hops_ = 10;

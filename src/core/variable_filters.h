@@ -9,6 +9,9 @@
 #ifndef SGNN_CORE_VARIABLE_FILTERS_H_
 #define SGNN_CORE_VARIABLE_FILTERS_H_
 
+#include <functional>
+#include <vector>
+
 #include "core/poly_base.h"
 
 namespace sgnn::filters {
@@ -75,12 +78,10 @@ class BernsteinFilter : public PolynomialBasisFilter {
  public:
   explicit BernsteinFilter(int hops, FilterHyperParams hp = {});
 
-  /// Irregular (K²/2-propagation) stream; no op-graph mirror — eager only.
-  bool SupportsLazy() const override { return false; }
-
  protected:
-  void StreamBasis(const FilterContext& ctx, const Matrix& x,
-                   const TermEmitter& emit) override;
+  void RecordBasis(opgraph::Graph* graph, opgraph::ValueId x,
+                   const opgraph::SpmmOperator* adj,
+                   const BasisEmitter& emit) const override;
   std::vector<double> ScalarBasis(double lambda, int hops) const override;
   std::vector<double> DefaultTheta(int hops, Rng* rng) const override;
 };
@@ -138,7 +139,8 @@ class OptBasisFilter : public PolynomialBasisFilter {
   explicit OptBasisFilter(int hops, FilterHyperParams hp = {});
 
   /// Signal-dependent Lanczos stream (norms depend on intermediate values);
-  /// not expressible as a recorded affine recurrence — eager only.
+  /// not expressible as a recorded affine recurrence, so it runs its own
+  /// stream in Forward, Backward and Precompute instead of the op-graph.
   bool SupportsLazy() const override { return false; }
 
   void ResetParameters(Rng* rng) override;
@@ -148,18 +150,24 @@ class OptBasisFilter : public PolynomialBasisFilter {
                 Matrix* grad_x) override;
   void ClearCache() override;
   double Response(double lambda) const override;
+  [[nodiscard]] Status Precompute(const FilterContext& ctx, const Matrix& x,
+                                  std::vector<Matrix>* terms) override;
   void CombineTerms(const std::vector<const Matrix*>& batch_terms, Matrix* y,
                     bool cache) override;
   void BackwardCombine(const std::vector<const Matrix*>& batch_terms,
                        const Matrix& grad_y) override;
 
  protected:
-  void StreamBasis(const FilterContext& ctx, const Matrix& x,
-                   const TermEmitter& emit) override;
   std::vector<double> ScalarBasis(double lambda, int hops) const override;
   std::vector<double> DefaultTheta(int hops, Rng* rng) const override;
 
  private:
+  /// Callback receiving basis term k (valid only during the call).
+  using TermCallback = std::function<void(int k, const Matrix& term)>;
+  /// Streams the column-scaled Lanczos basis v_0..v_K of `x`.
+  void LanczosBasis(const FilterContext& ctx, const Matrix& x,
+                    const TermCallback& emit) const;
+
   /// (Re)sizes θ to (K+1) x F on first use or width change.
   void EnsureParams(int64_t feature_dim);
   /// θ row for order k as a 1 x F matrix.

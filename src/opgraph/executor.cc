@@ -54,8 +54,8 @@ Status Execute(const Graph& graph, const Plan& plan) {
   // All allocations happen here; peak grows by exactly planned_peak_bytes.
   Storage storage(graph, plan);
 
-  // Marked inputs have no defining node — copy them out first (the eager
-  // Precompute path emits T_0 = x as a copy).
+  // Marked inputs have no defining node — copy them out first (Precompute
+  // emits T_0 = x as a copy).
   for (ValueId v = 0; v < graph.num_values(); ++v) {
     const ValueInfo& info = graph.values()[static_cast<size_t>(v)];
     if (info.is_input() && info.output != nullptr) {
@@ -84,18 +84,10 @@ Status Execute(const Graph& graph, const Plan& plan) {
         ops::Axpy(n.alpha, storage.Src(n.in0), out);
         break;
       }
-      case OpKind::kGemm:
-        ops::Gemm(storage.Src(n.in0), storage.Src(n.in1), out);
-        break;
-      case OpKind::kElementwise: {
-        const Matrix& x = storage.Src(n.in0);
-        if (&x != out) ops::Copy(x, out);
-        ops::ReluInPlace(out);
-        break;
-      }
       case OpKind::kFusedSpmmAffine:
         // Exact kernel order of the unfused chain: SpMM, Scale, Axpy(ci),
-        // Axpy(cp) — bit-identical to eager, minus the scratch copy.
+        // Axpy(cp) — bit-identical to the unfused chain, minus its scratch
+        // buffer.
         n.spmm->Apply(storage.Src(n.in0), out);
         ops::Scale(n.ca, out);
         if (n.in1 != kNoValue) ops::Axpy(n.ci, storage.Src(n.in1), out);
@@ -111,10 +103,8 @@ Status Execute(const Graph& graph, const Plan& plan) {
   return Status::OK();
 }
 
-Status RunPipeline(Graph* graph, const PipelineOptions& options,
-                   PipelineStats* stats) {
-  int fused = 0;
-  if (options.fuse) fused = FuseSpmmChains(graph);
+Status RunPipeline(Graph* graph, PipelineStats* stats) {
+  const int fused = FuseSpmmChains(graph);
   const Plan plan = PlanBuffers(*graph);
   if (stats != nullptr) {
     stats->nodes = static_cast<int>(graph->nodes().size());

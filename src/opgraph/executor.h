@@ -1,17 +1,16 @@
 // Plan executor + one-call pipeline.
 //
 // Replays a planned graph onto the existing tensor kernels (ops::*, which
-// dispatch through ParallelFor with flop-weighted chunking), so lazy results
-// are bit-identical to the eager code the graph mirrors at any thread count.
+// dispatch through ParallelFor with flop-weighted chunking) in recorded node
+// order, so results are bit-identical at any thread count.
 //
 // Allocation discipline: all output destinations and pool buffers are
 // allocated up front and nothing is freed until teardown, so the
 // DeviceTracker peak grows by exactly Plan::planned_peak_bytes. A simulated
 // accelerator OOM latched during those allocations (capacity overflow or an
 // armed fault plan — see runtime/fault_injection.h) does not abort the
-// kernels: execution completes with correct results, mirroring eager
-// semantics, and Execute returns Status::OutOfMemory so probes and the
-// Supervisor can journal the cell instead of crashing.
+// kernels: execution completes with correct results, as after any
+// over-capacity allocation, and Execute returns Status::OutOfMemory.
 
 #ifndef SGNN_OPGRAPH_EXECUTOR_H_
 #define SGNN_OPGRAPH_EXECUTOR_H_
@@ -38,13 +37,8 @@ struct PipelineStats {
   size_t planned_peak_bytes = 0;  ///< exact DeviceTracker growth
 };
 
-struct PipelineOptions {
-  bool fuse = true;  ///< run FuseSpmmChains before planning
-};
-
 /// Fuse → plan → execute in one call. `stats` is optional.
-[[nodiscard]] Status RunPipeline(Graph* graph, const PipelineOptions& options,
-                                 PipelineStats* stats = nullptr);
+[[nodiscard]] Status RunPipeline(Graph* graph, PipelineStats* stats = nullptr);
 
 }  // namespace sgnn::opgraph
 

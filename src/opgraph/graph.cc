@@ -8,8 +8,6 @@ const char* OpKindName(OpKind kind) {
     case OpKind::kSpmm: return "spmm";
     case OpKind::kScale: return "scale";
     case OpKind::kAxpy: return "axpy";
-    case OpKind::kGemm: return "gemm";
-    case OpKind::kElementwise: return "elementwise";
     case OpKind::kFusedSpmmAffine: return "fused_spmm_affine";
   }
   return "unknown";
@@ -85,26 +83,6 @@ ValueId Graph::Axpy(float alpha, ValueId x, ValueId y) {
   return AddNode(n, yi.rows, yi.cols);
 }
 
-ValueId Graph::Gemm(ValueId a, ValueId b) {
-  const ValueInfo& ai = At(a);
-  const ValueInfo& bi = At(b);
-  SGNN_CHECK(ai.cols == bi.rows, "opgraph: gemm inner dimension mismatch");
-  Node n;
-  n.kind = OpKind::kGemm;
-  n.in0 = a;
-  n.in1 = b;
-  return AddNode(n, ai.rows, bi.cols);
-}
-
-ValueId Graph::Elementwise(EwKind kind, ValueId x) {
-  const ValueInfo& xi = At(x);
-  Node n;
-  n.kind = OpKind::kElementwise;
-  n.ew = kind;
-  n.in0 = x;
-  return AddNode(n, xi.rows, xi.cols);
-}
-
 void Graph::MarkOutput(ValueId v, Matrix* dest) {
   SGNN_CHECK(dest != nullptr, "opgraph: null output destination");
   SGNN_CHECK(v >= 0 && v < num_values(), "opgraph: value id out of range");
@@ -115,6 +93,15 @@ void Graph::MarkOutput(ValueId v, Matrix* dest) {
                "opgraph: destination already bound to another value");
   }
   info.output = dest;
+}
+
+void Graph::MarkOutputs(const std::vector<ValueId>& values,
+                        std::vector<Matrix>* dests) {
+  dests->clear();
+  dests->resize(values.size());
+  for (size_t i = 0; i < values.size(); ++i) {
+    MarkOutput(values[i], &(*dests)[i]);
+  }
 }
 
 std::vector<int> Graph::UseCounts() const {

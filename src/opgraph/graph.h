@@ -1,22 +1,20 @@
-// Lazy op-graph over the dense/sparse kernels — recording side.
+// Op-graph over the dense/sparse kernels — recording side.
 //
 // Spectral filters spend their time in short chains of SpMM / Scale / Axpy
 // over n x F representations (paper Fig. 2: propagation dominates both time
-// and peak memory). Eager execution materializes every K-hop intermediate;
-// this layer instead records the computation as a small SSA value DAG that a
-// fusion pass (fusion.h) and a liveness-based memory planner (planner.h) can
-// rewrite before the executor (executor.h) replays it onto the existing
-// tensor kernels.
+// and peak memory). Filters record that computation as a small SSA value
+// DAG that a fusion pass (fusion.h) and a liveness-based memory planner
+// (planner.h) rewrite before the executor (executor.h) replays it onto the
+// existing tensor kernels.
 //
 // Layering: opgraph sits between tensor and {sparse, core} in the include
 // DAG. It never includes sparse/ — the sparse propagation operator is
 // abstracted behind SpmmOperator, and the CSR-backed adapter lives in
 // core/lazy.h where both layers are visible.
 //
-// Determinism contract: a recorded graph executes the *same kernel calls in
-// the same order on the same float values* as the eager code it mirrors, so
-// lazy results are bit-identical to eager at any thread count (the kernels
-// themselves chunk independently of thread count; see docs/DETERMINISM.md).
+// Determinism contract: a recorded graph executes its kernel calls in node
+// order, so results are bit-identical at any thread count (the kernels
+// themselves chunk independently of thread count; see docs/PERFORMANCE.md).
 
 #ifndef SGNN_OPGRAPH_GRAPH_H_
 #define SGNN_OPGRAPH_GRAPH_H_
@@ -56,21 +54,15 @@ enum class OpKind : uint8_t {
   kSpmm,             ///< out = A·in0
   kScale,            ///< out = alpha·in0
   kAxpy,             ///< out = alpha·in0 + in1 (in1 is the accumulate side)
-  kGemm,             ///< out = in0·in1 (dense)
-  kElementwise,      ///< out = ew(in0)
   kFusedSpmmAffine,  ///< out = ca·(A·in0) + ci·in1 + cp·in2
 };
 
 /// Returns a stable lowercase name ("spmm", "fused_spmm_affine", ...).
 const char* OpKindName(OpKind kind);
 
-/// Elementwise flavor for kElementwise.
-enum class EwKind : uint8_t { kRelu };
-
 /// One recorded operation. At most three inputs; exactly one output value.
 struct Node {
   OpKind kind = OpKind::kZero;
-  EwKind ew = EwKind::kRelu;
   float alpha = 0.0f;  ///< kScale / kAxpy coefficient
   /// kFusedSpmmAffine coefficients: out = ca·(A·in0) + ci·in1 + cp·in2,
   /// replayed as SpMM, Scale(ca), Axpy(ci, in1), Axpy(cp, in2) — the exact
@@ -114,8 +106,7 @@ class Graph {
   /// outlive execution and live on the graph's device.
   ValueId Input(const Matrix* m);
 
-  /// out = 0 with the given shape (accumulator seed; mirrors the eager
-  /// zero-filled allocation of y).
+  /// out = 0 with the given shape (accumulator seed).
   ValueId Zero(int64_t rows, int64_t cols);
 
   /// out = A·x. The operator must outlive execution.
@@ -124,19 +115,19 @@ class Graph {
   /// out = alpha·x.
   ValueId Scale(float alpha, ValueId x);
 
-  /// out = alpha·x + y. `y` is the accumulate side (the eager in-place
-  /// target), which the planner may alias when y dies here.
+  /// out = alpha·x + y. `y` is the accumulate side (the in-place target of
+  /// ops::Axpy), which the planner may alias when y dies here.
   ValueId Axpy(float alpha, ValueId x, ValueId y);
-
-  /// out = a·b (dense GEMM).
-  ValueId Gemm(ValueId a, ValueId b);
-
-  /// out = ew(x).
-  ValueId Elementwise(EwKind kind, ValueId x);
 
   /// Pins `v` to the caller-owned destination `dest`. Each destination may
   /// be marked once; inputs may be marked (the executor copies them out).
   void MarkOutput(ValueId v, Matrix* dest);
+
+  /// Resizes `dests` to values.size() once, then pins values[i] to
+  /// (*dests)[i]. Sizing first matters: MarkOutput keeps raw pointers, so
+  /// the vector must not reallocate before execution.
+  void MarkOutputs(const std::vector<ValueId>& values,
+                   std::vector<Matrix>* dests);
 
   const std::vector<Node>& nodes() const { return nodes_; }
   const std::vector<ValueInfo>& values() const { return values_; }

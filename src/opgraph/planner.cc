@@ -8,13 +8,12 @@ namespace sgnn::opgraph {
 
 namespace {
 
-// The input a node may legally overwrite in place: the eager code's in-place
-// target. SpMM/GEMM/fused kernels read their inputs while writing the
-// output, so they never alias.
+// The input a node may legally overwrite in place: the in-place target of
+// the node's kernel. SpMM and fused kernels read their inputs while writing
+// the output, so they never alias.
 ValueId AliasSource(const Node& n) {
   switch (n.kind) {
     case OpKind::kScale:
-    case OpKind::kElementwise:
       return n.in0;
     case OpKind::kAxpy:
       return n.in1;

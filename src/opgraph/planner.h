@@ -4,14 +4,14 @@
 // assigns every non-input value either (a) a caller-owned output slot — the
 // destination pinned by MarkOutput, propagated *backwards* through
 // alias-legal chains so an accumulator (Zero → Axpy → Axpy…) lives in the
-// caller's matrix from the start, exactly like the eager in-place code — or
+// caller's matrix from the start, as an in-place accumulation would — or
 // (b) a buffer from an exact-shape reuse pool, aliasing the dying input of
-// Scale/Elementwise (in0) and Axpy (in1, the accumulate side) in place when
+// Scale (in0) and Axpy (in1, the accumulate side) in place when
 // legal.
 //
 // Alias legality: the source value must be pool-backed (not external, not
 // pinned to an output), die at the consuming node, and match the output
-// shape. SpMM / GEMM / fused outputs are never aliased — their kernels read
+// shape. SpMM / fused outputs are never aliased — their kernels read
 // inputs while writing the output.
 //
 // The emitted plan predicts peak bytes exactly: the executor allocates all
@@ -21,7 +21,7 @@
 // journaled by bench_fig2_breakdown).
 //
 // Planning is a pure function of the graph — same graph, same plan — which
-// keeps lazy execution deterministic and resumable.
+// keeps execution deterministic and resumable.
 
 #ifndef SGNN_OPGRAPH_PLANNER_H_
 #define SGNN_OPGRAPH_PLANNER_H_

@@ -1,12 +1,12 @@
 // Sharded propagation executor with per-shard accelerator budgets.
 //
 // ShardedSpmmOperator implements the abstract opgraph::SpmmOperator, so both
-// eager filters (via FilterContext::Propagate) and the lazy op-graph run
-// sharded without any filter change. One Apply is one halo-exchange round:
-// for each shard in ascending order, gather the rows the shard reads
-// (owned ++ halo) from the current global representation, run the stock CSR
-// SpMM kernel on the square slice, and scatter the owned rows of the local
-// product back into the global output. Shards are processed and merged in
+// the op-graph and the filters with their own kernels (via
+// FilterContext::Propagate) run sharded without any filter change. One
+// Apply is one halo-exchange round: for each shard in ascending order,
+// gather the rows the shard reads (owned ++ halo) from the current global
+// representation, run the stock CSR SpMM kernel on the square slice, and
+// scatter the owned rows of the local product back into the global output. Shards are processed and merged in
 // shard order — the ordered-lane-merge discipline from sparse/push.cc — and
 // each local row repeats the exact accumulation order of its global row, so
 // output is bit-identical to unsharded at any shard count and

@@ -20,6 +20,7 @@
 #include "sparse/adjacency.h"
 #include "sparse/csr.h"
 #include "tensor/rng.h"
+#include "tests/temp_path.h"
 
 namespace sgnn::conformance {
 namespace {
@@ -54,9 +55,7 @@ Fixture ErFixture(int64_t n, uint64_t seed, double p, int64_t dim = 4) {
   return f;
 }
 
-std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "/" + name;
-}
+using testing_util::TempPath;
 
 // --- spectral oracle -------------------------------------------------------
 

@@ -8,6 +8,7 @@
 #include "graph/generator.h"
 #include "graph/graph.h"
 #include "graph/io.h"
+#include "tests/temp_path.h"
 
 #include <cstdio>
 
@@ -189,7 +190,7 @@ TEST(Homophily, PerfectOnSingleClassGraph) {
 TEST(GraphIo, RoundTrip) {
   GeneratorConfig c = SmallConfig(0.7);
   Graph g = GenerateSbm(c);
-  const std::string path = "/tmp/sgnn_graph_test.bin";
+  const std::string path = testing_util::TempPath("graph.bin");
   ASSERT_TRUE(SaveGraph(g, path).ok());
   auto r = LoadGraph(path);
   ASSERT_TRUE(r.ok());
@@ -202,7 +203,7 @@ TEST(GraphIo, RoundTrip) {
 }
 
 TEST(GraphIo, LoadMissingFails) {
-  EXPECT_FALSE(LoadGraph("/tmp/sgnn_missing_graph.bin").ok());
+  EXPECT_FALSE(LoadGraph(testing_util::TempPath("missing_graph.bin")).ok());
 }
 
 TEST(EdgeHomophily, TracksNodeHomophily) {

@@ -26,13 +26,12 @@
 #include "tensor/ops.h"
 #include "tensor/parallel.h"
 #include "tensor/rng.h"
+#include "tests/temp_path.h"
 
 namespace sgnn::quant {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "/" + name;
-}
+using testing_util::TempPath;
 
 Matrix RandomMatrix(int64_t rows, int64_t cols, uint64_t seed) {
   Rng rng(seed);

@@ -23,13 +23,12 @@
 #include "tensor/device.h"
 #include "tensor/ops.h"
 #include "tensor/rng.h"
+#include "tests/temp_path.h"
 
 namespace sgnn::runtime {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "/" + name;
-}
+using testing_util::TempPath;
 
 graph::Graph SmallGraph() {
   graph::GeneratorConfig c;

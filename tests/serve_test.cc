@@ -24,13 +24,12 @@
 #include "tensor/device.h"
 #include "tensor/parallel.h"
 #include "tensor/serialize.h"
+#include "tests/temp_path.h"
 
 namespace sgnn::serve {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "/" + name;
-}
+using testing_util::TempPath;
 
 graph::Graph SmallGraph() {
   graph::GeneratorConfig c;

@@ -1,7 +1,7 @@
 // Tests for sharded graph execution (src/shard/ + docs/SHARDING.md):
 // partitioner determinism/coverage/balance, slice structure invariants,
 // sharded-vs-unsharded bit-identity across the nine fuzz graph families x
-// shard counts x thread counts (raw operator, eager forward, lazy forward,
+// shard counts x thread counts (raw operator, forward, LazyForward,
 // precompute terms), shard-plan persistence round trips with CRC rejection,
 // per-shard budget/spill semantics against DeviceTracker, the
 // OOM-unsharded-completes-sharded memory demo, SHARD_SPILL journaling and
@@ -33,13 +33,12 @@
 #include "tensor/device.h"
 #include "tensor/parallel.h"
 #include "tensor/rng.h"
+#include "tests/temp_path.h"
 
 namespace sgnn {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "/" + name;
-}
+using testing_util::TempPath;
 
 Matrix RandomMatrix(int64_t rows, int64_t cols, uint64_t seed) {
   Matrix m(rows, cols, Device::kHost);
@@ -219,10 +218,10 @@ TEST(ShardBitIdentity, OperatorMatchesSpmmAcrossFamiliesShardsThreads) {
   parallel::SetNumThreads(0);
 }
 
-// Filter-level bit-identity: eager forward, lazy forward, and precompute
-// terms through the sharded operator equal the unsharded path, at multiple
-// thread counts (the full all-filter sweep runs in sgnn_conformance
-// --mode=shard; this pins one MB+lazy-capable filter per family).
+// Filter-level bit-identity: forward, LazyForward, and precompute terms
+// through the sharded operator equal the unsharded path, at multiple thread
+// counts (the full all-filter sweep runs in sgnn_conformance --mode=shard;
+// this pins one MB-capable recorded filter per family).
 TEST(ShardBitIdentity, ChebyshevForwardLazyPrecomputeAcrossFamilies) {
   const auto cases = FamilyCases();
   ASSERT_EQ(cases.size(), 9u);
