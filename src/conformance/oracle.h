@@ -62,7 +62,7 @@ double OracleTolerance(const std::string& filter_name);
 /// ‖a - b‖_F / max(1, ‖b‖_F), accumulated in double. The unit floor keeps
 /// near-zero references (e.g. high-pass filters on smooth signals) from
 /// turning float noise into huge relative errors. Shared by the oracle and
-/// the quantization conformance check (quant_check.h).
+/// the variant table (variants.h).
 double RelativeFrobenius(const Matrix& a, const Matrix& b);
 
 /// The dense double-precision ground truth U g(Λ) Uᵀ x for `filter` —

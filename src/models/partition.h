@@ -9,8 +9,6 @@
 #ifndef SGNN_MODELS_PARTITION_H_
 #define SGNN_MODELS_PARTITION_H_
 
-#include <vector>
-
 #include "core/filter.h"
 #include "graph/graph.h"
 #include "models/trainer.h"
@@ -24,17 +22,9 @@ struct PartitionConfig {
   int num_parts = 8;
 };
 
-/// BFS-grown node partition: parts are connected-ish chunks of roughly
-/// n / num_parts nodes (ClusterGCN-flavoured, METIS substitute).
-/// Returns a part id per node.
-std::vector<int32_t> BfsPartition(const graph::Graph& g, int num_parts,
-                                  uint64_t seed);
-
-/// Fraction of (directed, non-loop) edges severed by the partition.
-double CutFraction(const graph::Graph& g, const std::vector<int32_t>& parts);
-
-/// Trains the decoupled model under the GP scheme: per-epoch sweep over
-/// parts, each propagating only within its induced subgraph.
+/// Trains the decoupled model under the GP scheme: the nodes are split by
+/// shard::GreedyBfsPartition (seeded by config.base.seed), and each epoch
+/// sweeps the parts, each propagating only within its induced subgraph.
 TrainResult TrainGraphPartition(const graph::Graph& g,
                                 const graph::Splits& splits,
                                 graph::Metric metric,

@@ -1,24 +1,28 @@
 // Fast conformance suite (labels: tier1, conformance_fast).
 //
-// Exercises the spectral oracle, the finite-difference gradient checker, and
-// the property-based fuzz layer on small fixture graphs. The long fuzz
+// Exercises the spectral oracle, the variant table (quantized and sharded
+// execution vs the oracle), the finite-difference gradient checker, and the
+// property-based fuzz layer on small fixture graphs. The long fuzz
 // sweeps live in conformance_full_test.cc (label conformance_full).
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "conformance/fuzz.h"
 #include "conformance/gradcheck.h"
 #include "conformance/oracle.h"
+#include "conformance/variants.h"
 #include "core/registry.h"
 #include "eval/eigen.h"
 #include "runtime/supervisor.h"
 #include "sparse/adjacency.h"
 #include "sparse/csr.h"
+#include "tensor/ops.h"
 #include "tensor/rng.h"
 #include "tests/temp_path.h"
 
@@ -116,6 +120,93 @@ TEST(Oracle, TolerancesAreDocumentedAndTight) {
     const double tol = OracleTolerance(name);
     EXPECT_GT(tol, 0.0) << name;
     EXPECT_LE(tol, 8e-3) << name;
+  }
+}
+
+// --- variant table ---------------------------------------------------------
+
+TEST(ConformanceVariants, EveryRowPassesEveryFilterAndSkipsOnlyPinnedOnes) {
+  // The MB rows skip exactly the full-batch-only filters, named here rather
+  // than read from SupportsMiniBatch() so a filter that silently loses (or
+  // gains) its MB path shows up. The shard row runs every filter; it may
+  // skip only an optbasis Lanczos breakdown.
+  const std::set<std::string> fb_only = {"favard",  "adagnn",  "fbgnn1",
+                                         "fbgnn2",  "acmgnn1", "acmgnn2"};
+  for (const Fixture& fix : {ErFixture(32, 7, 0.2), ErFixture(24, 19, 0.25)}) {
+    auto reports = CheckAllVariants(fix.norm, fix.eig, fix.x);
+    ASSERT_TRUE(reports.ok()) << reports.status().ToString();
+    EXPECT_EQ(reports.value().size(),
+              Variants().size() * filters::AllFilterNames().size());
+    EXPECT_TRUE(AllPass(reports.value())) << FormatReports(reports.value());
+    std::set<std::string> fp16_skips;
+    std::set<std::string> int8_skips;
+    for (const auto& r : reports.value()) {
+      if (!r.skipped) continue;
+      if (r.variant == "fp16") fp16_skips.insert(r.filter);
+      if (r.variant == "int8") int8_skips.insert(r.filter);
+      if (r.variant == "shard") {
+        EXPECT_EQ(r.filter, "optbasis");
+        EXPECT_NE(r.detail.find("lanczos breakdown"), std::string::npos)
+            << r.detail;
+      }
+    }
+    EXPECT_EQ(fp16_skips, fb_only);
+    EXPECT_EQ(int8_skips, fb_only);
+  }
+}
+
+TEST(ConformanceVariants, ScaledOutputFailsWithDivergenceDetail) {
+  // Negative control: a row whose output is off by 3x the tolerance.
+  const Fixture fix = ErFixture(24, 19, 0.25);
+  const double tol = OracleTolerance("ppr");
+  const Variant scaled{
+      "scaled", 0.0, /*needs_minibatch=*/false,
+      [tol](filters::SpectralFilter* filter, const filters::FilterContext& ctx,
+            const Matrix& x) -> Result<VariantOutput> {
+        VariantOutput out;
+        filter->Forward(ctx, x, &out.y, /*cache=*/false);
+        ops::Scale(static_cast<float>(1.0 + 3.0 * tol), &out.y);
+        return out;
+      }};
+  auto report = CheckVariant(scaled, "ppr", fix.norm, fix.eig, fix.x);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_FALSE(report.value().pass) << "rel=" << report.value().rel_error;
+  EXPECT_GT(report.value().rel_error, report.value().tolerance);
+  EXPECT_EQ(report.value().detail,
+            "output diverges from dense spectral operator");
+}
+
+TEST(ConformanceVariants, BrokenContractFailsEvenAtZeroError) {
+  // The row returns the dense reference itself, so rel_error is exactly 0;
+  // its exactness contract still fails, and that alone must fail the row.
+  const Fixture fix = ErFixture(24, 19, 0.25);
+  auto identity = filters::CreateFilter("identity", 6, {}, fix.x.cols());
+  ASSERT_TRUE(identity.ok());
+  bool degenerate = false;
+  const Matrix ref = DenseReference(identity.value().get(), "identity",
+                                    fix.norm, fix.eig, fix.x, 6, &degenerate);
+  ASSERT_FALSE(degenerate);
+  const Variant broken{
+      "broken", 0.0, /*needs_minibatch=*/false,
+      [&ref](filters::SpectralFilter*, const filters::FilterContext&,
+             const Matrix&) -> Result<VariantOutput> {
+        return VariantOutput{ref, "forward differs at K=2"};
+      }};
+  auto report = CheckVariant(broken, "identity", fix.norm, fix.eig, fix.x);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report.value().rel_error, 0.0);
+  EXPECT_FALSE(report.value().pass);
+  EXPECT_EQ(report.value().detail, "forward differs at K=2");
+}
+
+TEST(ConformanceVariants, ShapeMismatchIsInvalidArgument) {
+  const Fixture fix = ErFixture(24, 19, 0.25);
+  const Fixture other = ErFixture(20, 3, 0.3);
+  for (const Variant& row : Variants()) {
+    auto report = CheckVariant(row, "ppr", fix.norm, fix.eig, other.x);
+    ASSERT_FALSE(report.ok()) << row.name;
+    EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument)
+        << row.name;
   }
 }
 

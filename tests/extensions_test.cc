@@ -11,6 +11,7 @@
 #include "graph/generator.h"
 #include "models/iterative.h"
 #include "models/partition.h"
+#include "shard/partition.h"
 #include "sparse/adjacency.h"
 #include "sparse/push.h"
 
@@ -30,10 +31,12 @@ graph::Graph TestGraph(double homophily = 0.85, int64_t n = 800) {
 }
 
 // ----------------------------------------------------------- BfsPartition
+// GP training takes its parts from shard::GreedyBfsPartition over g.adj;
+// these pin what GP relies on from it, on a GP-sized graph.
 
 TEST(BfsPartition, CoversAllNodesWithValidIds) {
   graph::Graph g = TestGraph();
-  const auto parts = models::BfsPartition(g, 6, 1);
+  const auto parts = shard::GreedyBfsPartition(g.adj, {6, 1}).shard_of;
   ASSERT_EQ(parts.size(), static_cast<size_t>(g.n));
   for (const int32_t p : parts) {
     EXPECT_GE(p, 0);
@@ -43,15 +46,14 @@ TEST(BfsPartition, CoversAllNodesWithValidIds) {
 
 TEST(BfsPartition, ProducesRequestedNumberOfParts) {
   graph::Graph g = TestGraph();
-  const auto parts = models::BfsPartition(g, 5, 2);
+  const auto parts = shard::GreedyBfsPartition(g.adj, {5, 2}).shard_of;
   std::set<int32_t> ids(parts.begin(), parts.end());
-  EXPECT_GE(ids.size(), 4u);  // BFS growth may merge tiny leftovers
-  EXPECT_LE(ids.size(), 5u);
+  EXPECT_EQ(ids.size(), 5u);
 }
 
 TEST(BfsPartition, PartsRoughlyBalanced) {
   graph::Graph g = TestGraph();
-  const auto parts = models::BfsPartition(g, 4, 3);
+  const auto parts = shard::GreedyBfsPartition(g.adj, {4, 3}).shard_of;
   std::vector<int64_t> counts(4, 0);
   for (const int32_t p : parts) counts[static_cast<size_t>(p)]++;
   for (const int64_t c : counts) {
@@ -61,14 +63,16 @@ TEST(BfsPartition, PartsRoughlyBalanced) {
 
 TEST(BfsPartition, SinglePartHasZeroCut) {
   graph::Graph g = TestGraph();
-  const auto parts = models::BfsPartition(g, 1, 1);
-  EXPECT_DOUBLE_EQ(models::CutFraction(g, parts), 0.0);
+  const auto one = shard::GreedyBfsPartition(g.adj, {1, 1});
+  EXPECT_DOUBLE_EQ(shard::ComputeEdgeCut(g.adj, one).cut_fraction(), 0.0);
 }
 
 TEST(BfsPartition, MorePartsCutMoreEdges) {
   graph::Graph g = TestGraph();
-  const double cut4 = models::CutFraction(g, models::BfsPartition(g, 4, 1));
-  const double cut16 = models::CutFraction(g, models::BfsPartition(g, 16, 1));
+  const double cut4 = shard::ComputeEdgeCut(
+      g.adj, shard::GreedyBfsPartition(g.adj, {4, 1})).cut_fraction();
+  const double cut16 = shard::ComputeEdgeCut(
+      g.adj, shard::GreedyBfsPartition(g.adj, {16, 1})).cut_fraction();
   EXPECT_GT(cut4, 0.0);
   EXPECT_GT(cut16, cut4 * 0.8);  // monotone up to BFS randomness
 }

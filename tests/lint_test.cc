@@ -212,8 +212,8 @@ TEST(LayeringTest, QuantIsPostTrainingOnly) {
     #include "quant/quantize.h"
   )cc");
   EXPECT_FALSE(HasRule(serve_ok, "layering")) << Render(serve_ok);
-  const auto conf_ok = Lint("src/conformance/quant_check.cc", R"cc(
-    #include "conformance/quant_check.h"
+  const auto conf_ok = Lint("src/conformance/variants.cc", R"cc(
+    #include "conformance/variants.h"
     #include "quant/quantize.h"
   )cc");
   EXPECT_FALSE(HasRule(conf_ok, "layering")) << Render(conf_ok);
@@ -286,7 +286,7 @@ TEST(LayeringTest, ShardSitsBesideGraphAboveSparse) {
     #include "shard/spmm.h"
   )cc");
   EXPECT_FALSE(HasRule(models_ok, "layering")) << Render(models_ok);
-  const auto conf_ok = Lint("src/conformance/shard_check.cc", R"cc(
+  const auto conf_ok = Lint("src/conformance/variants.cc", R"cc(
     #include "shard/plan.h"
     #include "shard/spmm.h"
   )cc");

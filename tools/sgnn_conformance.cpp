@@ -1,16 +1,15 @@
 // sgnn_conformance — numerical conformance harness CLI.
 //
 // Modes (--mode=fast is the default):
-//   fast    oracle + gradcheck on fixture graphs, then a short fuzz sweep
-//   full    the same with a long fuzz sweep (nightly budget)
-//   oracle  dense spectral oracle only
-//   quant   quantized MB propagation vs the dense oracle (int8 + fp16,
-//           every MB-capable filter; tolerances in docs/QUANTIZATION.md)
-//   shard   sharded propagation vs unsharded (bit-identity at K=1,2,4,8
-//           for forward and precompute) and vs the dense oracle, every
-//           filter (docs/SHARDING.md)
-//   grad    finite-difference gradient checker only
-//   fuzz    property-based fuzz sweep only (--trials)
+//   fast      oracle + variants + gradcheck on fixture graphs, then a short
+//             fuzz sweep
+//   full      the same with a long fuzz sweep (nightly budget)
+//   oracle    dense spectral oracle only
+//   variants  the variant table vs the dense oracle: fp16 and int8
+//             quantized MB terms, and sharded propagation (bit-identical
+//             to unsharded at K=1,2,4,8), every filter (docs/CONFORMANCE.md)
+//   grad      finite-difference gradient checker only
+//   fuzz      property-based fuzz sweep only (--trials)
 //
 // Repro / debugging:
 //   --seed=N          re-run exactly one fuzz trial from its journaled seed;
@@ -34,10 +33,8 @@
 #include "conformance/fuzz.h"
 #include "conformance/gradcheck.h"
 #include "conformance/oracle.h"
-#include "conformance/quant_check.h"
-#include "conformance/shard_check.h"
+#include "conformance/variants.h"
 #include "eval/eigen.h"
-#include "quant/quantize.h"
 #include "sparse/adjacency.h"
 #include "tensor/rng.h"
 
@@ -118,55 +115,15 @@ bool RunOracle(const std::vector<std::string>& filters) {
   return ok;
 }
 
-bool RunQuant(const std::vector<std::string>& filters) {
-  bool ok = true;
-  const quant::Precision precisions[] = {quant::Precision::kFp16,
-                                         quant::Precision::kInt8};
-  for (const auto& fix : BuildFixtures()) {
-    for (const quant::Precision p : precisions) {
-      std::printf("== quant conformance (%s) on %s (n=%lld) ==\n",
-                  quant::PrecisionName(p), fix.name.c_str(),
-                  static_cast<long long>(fix.norm.n()));
-      std::vector<conformance::QuantReport> reports;
-      if (filters.empty()) {
-        auto r = conformance::CheckAllQuant(fix.norm, fix.eig, fix.x, p);
-        SGNN_CHECK_OK(r);
-        reports = r.MoveValue();
-      } else {
-        for (const auto& name : filters) {
-          auto r = conformance::CheckQuantConformance(name, fix.norm, fix.eig,
-                                                      fix.x, p);
-          SGNN_CHECK_OK(r);
-          reports.push_back(r.MoveValue());
-        }
-      }
-      std::fputs(conformance::FormatQuantReports(reports).c_str(), stdout);
-      ok = ok && conformance::AllQuantPass(reports);
-    }
-  }
-  return ok;
-}
-
-bool RunShard(const std::vector<std::string>& filters) {
+bool RunVariants(const std::vector<std::string>& filters) {
   bool ok = true;
   for (const auto& fix : BuildFixtures()) {
-    std::printf("== shard conformance on %s (n=%lld) ==\n", fix.name.c_str(),
+    std::printf("== variant conformance on %s (n=%lld) ==\n", fix.name.c_str(),
                 static_cast<long long>(fix.norm.n()));
-    std::vector<conformance::ShardReport> reports;
-    if (filters.empty()) {
-      auto r = conformance::CheckAllSharded(fix.norm, fix.eig, fix.x);
-      SGNN_CHECK_OK(r);
-      reports = r.MoveValue();
-    } else {
-      for (const auto& name : filters) {
-        auto r =
-            conformance::CheckShardConformance(name, fix.norm, fix.eig, fix.x);
-        SGNN_CHECK_OK(r);
-        reports.push_back(r.MoveValue());
-      }
-    }
-    std::fputs(conformance::FormatShardReports(reports).c_str(), stdout);
-    ok = ok && conformance::AllShardPass(reports);
+    auto r = conformance::CheckAllVariants(fix.norm, fix.eig, fix.x, filters);
+    SGNN_CHECK_OK(r);
+    std::fputs(conformance::FormatReports(r.value()).c_str(), stdout);
+    ok = ok && conformance::AllPass(r.value());
   }
   return ok;
 }
@@ -320,16 +277,15 @@ int main(int argc, char** argv) {
   bool ok = true;
   if (mode == "oracle") {
     ok = RunOracle(filters);
-  } else if (mode == "quant") {
-    ok = RunQuant(filters);
-  } else if (mode == "shard") {
-    ok = RunShard(filters);
+  } else if (mode == "variants") {
+    ok = RunVariants(filters);
   } else if (mode == "grad") {
     ok = RunGradcheck(filters);
   } else if (mode == "fuzz") {
     ok = RunFuzzSweep(1, trials > 0 ? trials : 50, filters, journal);
   } else if (mode == "fast" || mode == "full") {
     ok = RunOracle(filters) && ok;
+    ok = RunVariants(filters) && ok;
     ok = RunGradcheck(filters) && ok;
     const int n = trials > 0 ? trials : (mode == "full" ? 200 : 40);
     ok = RunFuzzSweep(1, n, filters, journal) && ok;
