@@ -107,6 +107,100 @@ void BM_GemmTransB(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmTransB)->Arg(80000);
 
+/// Elementwise and column kernels on an n x 64 representation: the
+/// filter's own per-hop work (Axpy, Scale), the MLP bias (AddRowBroadcast)
+/// and the bias gradient (ColumnSum). Bytes count each operand read or
+/// written once.
+void BM_Elementwise(benchmark::State& state, const std::string& kernel) {
+  const int64_t n = state.range(0);
+  Rng rng(4);
+  Matrix x(n, 64), y(n, 64), bias(1, 64);
+  x.FillNormal(&rng);
+  y.FillNormal(&rng);
+  bias.FillNormal(&rng);
+  int64_t passes = 0;  // n x 64 float arrays touched per call
+  for (auto _ : state) {
+    if (kernel == "axpy") {
+      ops::Axpy(1e-3f, x, &y);
+      passes = 3;
+    } else if (kernel == "scale") {
+      ops::Scale(0.999f, &y);
+      passes = 2;
+    } else if (kernel == "add_row_broadcast") {
+      ops::AddRowBroadcast(bias, &y);
+      passes = 2;
+    } else {
+      ops::ColumnSum(x, &bias);
+      passes = 1;
+    }
+    benchmark::DoNotOptimize(y.data());
+    benchmark::DoNotOptimize(bias.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * passes * n * 64 *
+                          static_cast<int64_t>(sizeof(float)));
+  state.SetLabel(ops::KernelIsa());
+}
+// Rates from wall time: the kernels run on the pool's threads too.
+BENCHMARK_CAPTURE(BM_Elementwise, axpy, "axpy")
+    ->Arg(4000)
+    ->Arg(80000)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_Elementwise, scale, "scale")
+    ->Arg(4000)
+    ->Arg(80000)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_Elementwise, add_row_broadcast, "add_row_broadcast")
+    ->Arg(4000)
+    ->Arg(80000)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_Elementwise, column_sum, "column_sum")
+    ->Arg(4000)
+    ->Arg(80000)
+    ->UseRealTime();
+
+/// One three-term recurrence hop out = 2·(A·x) + 0.5·x − prev on an n x 64
+/// block: the fused op-graph node (second arg 1: CsrSpmmOperator::ApplyAffine,
+/// the step applied in SpMM's registers) vs the four-pass chain it replaced
+/// (second arg 0: SpMM, Scale, Axpy, Axpy). Same bits either way.
+void BM_FusedHop(benchmark::State& state) {
+  const int64_t n = state.range(0);
+  const bool fused = state.range(1) != 0;
+  graph::Graph g = MakeGraph(n, 10.0);
+  sparse::CsrMatrix norm = sparse::NormalizeAdjacency(g.adj, 0.5);
+  const filters::CsrSpmmOperator op(&norm);
+  Rng rng(5);
+  Matrix x(n, 64), prev(n, 64), out(n, 64);
+  x.FillNormal(&rng);
+  prev.FillNormal(&rng);
+  ops::AffineEpilogue ep;
+  ep.ca = 2.0f;
+  ep.ci = 0.5f;
+  ep.in1 = &x;
+  ep.cp = -1.0f;
+  ep.in2 = &prev;
+  for (auto _ : state) {
+    if (fused) {
+      op.ApplyAffine(x, ep, &out);
+    } else {
+      op.Apply(x, &out);
+      ops::Scale(ep.ca, &out);
+      ops::Axpy(ep.ci, x, &out);
+      ops::Axpy(ep.cp, prev, &out);
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * norm.nnz() * 64);
+  state.SetLabel(ops::KernelIsa());
+}
+BENCHMARK(BM_FusedHop)
+    ->Args({4000, 0})
+    ->Args({4000, 1})
+    ->Args({80000, 0})
+    ->Args({80000, 1})
+    ->UseRealTime();
+
 /// Per-type filter forward cost on the same graph (Table 1 Time column).
 void BM_FilterForward(benchmark::State& state,
                       const std::string& filter_name) {

@@ -354,13 +354,16 @@ std::vector<GradBlockReport> CheckLossGradients(const GradCheckOptions& options)
 
 Result<std::vector<GradBlockReport>> CheckAllGradients(
     const sparse::CsrMatrix& norm_adj, const Matrix& x,
+    const std::vector<std::string>& filters,
     const GradCheckOptions& options) {
   std::vector<GradBlockReport> reports;
-  for (const auto& name : filters::AllFilterNames()) {
+  for (const auto& name :
+       filters.empty() ? filters::AllFilterNames() : filters) {
     SGNN_ASSIGN_OR_RETURN(auto filter_reports,
                           CheckFilterGradients(name, norm_adj, x, options));
     for (auto& r : filter_reports) reports.push_back(std::move(r));
   }
+  if (!filters.empty()) return reports;
   for (auto& r : CheckMlpGradients(options)) reports.push_back(std::move(r));
   for (auto& r : CheckLossGradients(options)) reports.push_back(std::move(r));
   return reports;

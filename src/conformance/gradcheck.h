@@ -73,9 +73,11 @@ std::vector<GradBlockReport> CheckMlpGradients(
 std::vector<GradBlockReport> CheckLossGradients(
     const GradCheckOptions& options = {});
 
-/// All learnable blocks: every taxonomy filter + Mlp + losses.
+/// The learnable blocks of `filters`, in order. When `filters` is empty:
+/// every taxonomy filter, then the Mlp and loss blocks.
 [[nodiscard]] Result<std::vector<GradBlockReport>> CheckAllGradients(
     const sparse::CsrMatrix& norm_adj, const Matrix& x,
+    const std::vector<std::string>& filters = {},
     const GradCheckOptions& options = {});
 
 /// True when every block passed.

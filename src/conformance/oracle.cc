@@ -268,9 +268,11 @@ Result<OracleReport> CheckSpectralConformance(const std::string& filter_name,
 
 Result<std::vector<OracleReport>> CheckAllFilters(
     const sparse::CsrMatrix& norm_adj, const eval::EigenDecomposition& eig,
-    const Matrix& x, const OracleOptions& options) {
+    const Matrix& x, const std::vector<std::string>& filters,
+    const OracleOptions& options) {
   std::vector<OracleReport> reports;
-  for (const auto& name : filters::AllFilterNames()) {
+  for (const auto& name :
+       filters.empty() ? filters::AllFilterNames() : filters) {
     SGNN_ASSIGN_OR_RETURN(
         auto report,
         CheckSpectralConformance(name, norm_adj, eig, x, options));

@@ -85,10 +85,12 @@ Matrix DenseReference(filters::SpectralFilter* filter,
     const eval::EigenDecomposition& eig, const Matrix& x,
     const OracleOptions& options = {});
 
-/// CheckSpectralConformance over all 27 taxonomy filters.
+/// CheckSpectralConformance over `filters`, in order (all 27 taxonomy
+/// filters when empty).
 [[nodiscard]] Result<std::vector<OracleReport>> CheckAllFilters(
     const sparse::CsrMatrix& norm_adj, const eval::EigenDecomposition& eig,
-    const Matrix& x, const OracleOptions& options = {});
+    const Matrix& x, const std::vector<std::string>& filters = {},
+    const OracleOptions& options = {});
 
 /// True when every report passed.
 bool AllPass(const std::vector<OracleReport>& reports);

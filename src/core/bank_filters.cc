@@ -194,8 +194,13 @@ void MixtureBankFilter::Backward(const FilterContext& ctx,
   if (grad_x != nullptr) {
     *grad_x = Matrix(grad_y.rows(), grad_y.cols(), ctx.device);
   }
+  std::vector<const Matrix*> outputs;
+  outputs.reserve(cached_outputs_.size());
+  for (const Matrix& yq : cached_outputs_) outputs.push_back(&yq);
+  std::vector<double> dots;
+  ops::Dots(grad_y, outputs, &dots);
   for (size_t q = 0; q < channels_.size(); ++q) {
-    grads[q] += ops::Dot(grad_y, cached_outputs_[q]);
+    grads[q] += dots[q];
     Matrix gq = grad_y;
     ops::Scale(static_cast<float>(flat[q]), &gq);
     channels_[q]->params().ZeroGrad();
@@ -306,8 +311,13 @@ void MixtureBankFilter::BackwardCombine(
              "MixtureBank::BackwardCombine requires CombineTerms(cache=true)");
   auto& grads = params_.grads();
   const auto& flat = params_.values();
+  std::vector<const Matrix*> outputs;
+  outputs.reserve(cached_combine_outputs_.size());
+  for (const Matrix& yq : cached_combine_outputs_) outputs.push_back(&yq);
+  std::vector<double> dots;
+  ops::Dots(grad_y, outputs, &dots);
   for (size_t q = 0; q < channels_.size(); ++q) {
-    grads[q] += ops::Dot(grad_y, cached_combine_outputs_[q]);
+    grads[q] += dots[q];
     std::vector<const Matrix*> slice(
         batch_terms.begin() + static_cast<int64_t>(term_offsets_[q]),
         batch_terms.begin() + static_cast<int64_t>(term_offsets_[q + 1]));

@@ -29,6 +29,12 @@ class CsrSpmmOperator : public opgraph::SpmmOperator {
   void Apply(const Matrix& x, Matrix* out) const override {
     prop_->SpMM(x, out);
   }
+  /// The step runs on SpMM's register tiles (CsrMatrix::SpMM with an
+  /// epilogue), not as a second pass.
+  void ApplyAffine(const Matrix& x, const ops::AffineEpilogue& ep,
+                   Matrix* out) const override {
+    prop_->SpMM(x, ep, out);
+  }
 
  private:
   const sparse::CsrMatrix* prop_;

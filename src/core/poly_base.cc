@@ -29,9 +29,17 @@ void Adj(const FilterContext& ctx, const Matrix& x, Matrix* y) {
 }
 
 void Lap(const FilterContext& ctx, const Matrix& x, Matrix* y) {
-  ctx.Propagate(x, y);
-  ops::Scale(-1.0f, y);
-  ops::Axpy(1.0f, x, y);
+  // One fused hop, y = -1·(Ã x) + 1·x: per element the Scale(-1) then
+  // Axpy(1, x) that follow the SpMM, applied before y is stored.
+  ops::AffineEpilogue ep;
+  ep.ca = -1.0f;
+  ep.ci = 1.0f;
+  ep.in1 = &x;
+  if (ctx.op != nullptr) {
+    ctx.op->ApplyAffine(x, ep, y);
+    return;
+  }
+  ctx.prop->SpMM(x, ep, y);
 }
 
 }  // namespace propagate
@@ -254,10 +262,11 @@ void PolynomialBasisFilter::Backward(const FilterContext& ctx,
                                      const Matrix& grad_y, Matrix* grad_x) {
   if (type_ != FilterType::kFixed) {
     SGNN_CHECK(has_cache_, "Backward requires Forward(cache=true)");
-    std::vector<double> eff_grad(cached_terms_.size(), 0.0);
-    for (size_t k = 0; k < cached_terms_.size(); ++k) {
-      eff_grad[k] = ops::Dot(grad_y, cached_terms_[k]);
-    }
+    std::vector<const Matrix*> terms;
+    terms.reserve(cached_terms_.size());
+    for (const Matrix& t : cached_terms_) terms.push_back(&t);
+    std::vector<double> eff_grad;
+    ops::Dots(grad_y, terms, &eff_grad);
     AccumulateRawGrad(eff_grad);
   }
   if (grad_x != nullptr) {
@@ -313,10 +322,8 @@ void PolynomialBasisFilter::CombineTerms(const std::vector<const Matrix*>& batch
 void PolynomialBasisFilter::BackwardCombine(
     const std::vector<const Matrix*>& batch_terms, const Matrix& grad_y) {
   if (type_ == FilterType::kFixed) return;
-  std::vector<double> eff_grad(batch_terms.size(), 0.0);
-  for (size_t k = 0; k < batch_terms.size(); ++k) {
-    eff_grad[k] = ops::Dot(grad_y, *batch_terms[k]);
-  }
+  std::vector<double> eff_grad;
+  ops::Dots(grad_y, batch_terms, &eff_grad);
   AccumulateRawGrad(eff_grad);
 }
 

@@ -173,10 +173,8 @@ void ProductFilter::CombineTerms(const std::vector<const Matrix*>& batch_terms,
 void ProductFilter::BackwardCombine(const std::vector<const Matrix*>& batch_terms,
                                     const Matrix& grad_y) {
   // e_k = <ḡ, B^k x_batch>.
-  std::vector<double> e(batch_terms.size());
-  for (size_t k = 0; k < batch_terms.size(); ++k) {
-    e[k] = ops::Dot(grad_y, *batch_terms[k]);
-  }
+  std::vector<double> e;
+  ops::Dots(grad_y, batch_terms, &e);
   // Leave-one-out products: for each hop j, c = (p_j + q_j z) * R_j(z) with
   // R_j = Π_{k != j}; then dL/dp_j = Σ_k e_k R_j[k], dL/dq_j = Σ e_k R_j[k-1].
   for (int j = 1; j <= hops_; ++j) {

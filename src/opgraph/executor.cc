@@ -84,15 +84,23 @@ Status Execute(const Graph& graph, const Plan& plan) {
         ops::Axpy(n.alpha, storage.Src(n.in0), out);
         break;
       }
-      case OpKind::kFusedSpmmAffine:
-        // Exact kernel order of the unfused chain: SpMM, Scale, Axpy(ci),
-        // Axpy(cp) — bit-identical to the unfused chain, minus its scratch
-        // buffer.
-        n.spmm->Apply(storage.Src(n.in0), out);
-        ops::Scale(n.ca, out);
-        if (n.in1 != kNoValue) ops::Axpy(n.ci, storage.Src(n.in1), out);
-        if (n.in2 != kNoValue) ops::Axpy(n.cp, storage.Src(n.in2), out);
+      case OpKind::kFusedSpmmAffine: {
+        // Per element the unfused chain's steps: SpMM, Scale(ca), Axpy(ci),
+        // Axpy(cp) — bit-identical to it, minus its scratch buffer and its
+        // three extra passes over `out`.
+        ops::AffineEpilogue ep;
+        ep.ca = n.ca;
+        if (n.in1 != kNoValue) {
+          ep.ci = n.ci;
+          ep.in1 = &storage.Src(n.in1);
+        }
+        if (n.in2 != kNoValue) {
+          ep.cp = n.cp;
+          ep.in2 = &storage.Src(n.in2);
+        }
+        n.spmm->ApplyAffine(storage.Src(n.in0), ep, out);
         break;
+      }
     }
   }
 

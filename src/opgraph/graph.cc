@@ -2,6 +2,12 @@
 
 namespace sgnn::opgraph {
 
+void SpmmOperator::ApplyAffine(const Matrix& x, const ops::AffineEpilogue& ep,
+                               Matrix* out) const {
+  Apply(x, out);
+  ops::ApplyEpilogue(ep, out);
+}
+
 const char* OpKindName(OpKind kind) {
   switch (kind) {
     case OpKind::kZero: return "zero";

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "tensor/matrix.h"
+#include "tensor/ops.h"
 #include "tensor/status.h"
 
 namespace sgnn::opgraph {
@@ -45,6 +46,14 @@ class SpmmOperator {
 
   /// out = A x. `out` is pre-shaped (n, x.cols()) and never aliases x.
   virtual void Apply(const Matrix& x, Matrix* out) const = 0;
+
+  /// out = A x followed by the recurrence step `ep` (ops::AffineEpilogue),
+  /// bit-identical to Apply then ops::ApplyEpilogue, which is what this
+  /// default runs. Operators that can apply the step inside their own
+  /// kernel (CsrSpmmOperator) override it to save the extra pass. `out`
+  /// never aliases x, ep.in1 or ep.in2.
+  virtual void ApplyAffine(const Matrix& x, const ops::AffineEpilogue& ep,
+                           Matrix* out) const;
 };
 
 /// Node taxonomy (docs/OPGRAPH.md). kFusedSpmmAffine only appears after the
@@ -65,8 +74,8 @@ struct Node {
   OpKind kind = OpKind::kZero;
   float alpha = 0.0f;  ///< kScale / kAxpy coefficient
   /// kFusedSpmmAffine coefficients: out = ca·(A·in0) + ci·in1 + cp·in2,
-  /// replayed as SpMM, Scale(ca), Axpy(ci, in1), Axpy(cp, in2) — the exact
-  /// kernel order of the unfused chain.
+  /// run as one SpmmOperator::ApplyAffine call whose per-element steps are
+  /// those of the unfused SpMM, Scale(ca), Axpy(ci, in1), Axpy(cp, in2).
   float ca = 0.0f, ci = 0.0f, cp = 0.0f;
   const SpmmOperator* spmm = nullptr;  ///< kSpmm / kFusedSpmmAffine
   ValueId in0 = kNoValue;

@@ -12,6 +12,7 @@
 
 #include "tensor/device.h"
 #include "tensor/matrix.h"
+#include "tensor/ops.h"
 #include "tensor/status.h"
 
 namespace sgnn::sparse {
@@ -57,6 +58,12 @@ class CsrMatrix {
   /// out = this * x. Shapes: (n,n) x (n,F) -> (n,F). `out` must be
   /// pre-shaped (n, F); aliasing with x is not allowed.
   void SpMM(const Matrix& x, Matrix* out) const;
+
+  /// out = this * x, then the recurrence step `ep` applied to each output
+  /// tile while it is still in registers — one pass over `out`, and
+  /// bit-identical to SpMM(x, out) followed by ops::ApplyEpilogue(ep, out).
+  /// `out` must alias none of x, ep.in1 and ep.in2.
+  void SpMM(const Matrix& x, const ops::AffineEpilogue& ep, Matrix* out) const;
 
   /// y = this * x for a single vector.
   void SpMV(const std::vector<float>& x, std::vector<float>* y) const;

@@ -6,13 +6,16 @@
 #ifndef SGNN_TENSOR_OPS_H_
 #define SGNN_TENSOR_OPS_H_
 
+#include <vector>
+
 #include "tensor/matrix.h"
 
 namespace sgnn::ops {
 
-/// ISA the SpMM/GEMM kernels run on: "avx2" or "generic" (baseline x86-64
-/// or a non-x86 build). Results are bit-identical either way; journal rows
-/// and benches record it so kernel timings are comparable.
+/// ISA the vector kernels (SpMM, the GEMM family, the elementwise and
+/// column kernels) run on: "avx2" or "generic" (baseline x86-64 or a
+/// non-x86 build). Results are bit-identical either way; journal rows and
+/// benches record it so kernel timings are comparable.
 const char* KernelIsa();
 
 /// out = a * b. Shapes: (n,k) x (k,m) -> (n,m). `out` is overwritten and must
@@ -31,6 +34,22 @@ void Axpy(float alpha, const Matrix& x, Matrix* y);
 /// x *= alpha.
 void Scale(float alpha, Matrix* x);
 
+/// The affine step of a three-term recurrence applied to a freshly
+/// propagated block v: v = ca·v, then v += ci·in1, then v += cp·in2, where a
+/// null in1/in2 skips its step. in1/in2 have v's shape.
+struct AffineEpilogue {
+  float ca = 1.0f;
+  float ci = 0.0f;
+  const Matrix* in1 = nullptr;
+  float cp = 0.0f;
+  const Matrix* in2 = nullptr;
+};
+
+/// Applies `ep` to every element of `out` in one pass; bit-identical to
+/// Scale(ca, out), then Axpy(ci, *in1, out), then Axpy(cp, *in2, out).
+/// `out` must not alias in1 or in2.
+void ApplyEpilogue(const AffineEpilogue& ep, Matrix* out);
+
 /// y = x (copies values; shapes must match).
 void Copy(const Matrix& x, Matrix* y);
 
@@ -46,6 +65,12 @@ void MulInPlace(const Matrix& x, Matrix* y);
 /// Sum over all elements of the elementwise product <a, b> (Frobenius inner
 /// product). Used for filter-parameter gradients.
 double Dot(const Matrix& a, const Matrix& b);
+
+/// (*out)[t] = Dot(a, *b[t]) for every t, bit for bit, in one pass over
+/// `a`: each term keeps its own double accumulator in Dot's order. Used for
+/// the K+1 θ-gradients of a polynomial filter.
+void Dots(const Matrix& a, const std::vector<const Matrix*>& b,
+          std::vector<double>* out);
 
 /// Adds `bias` (1 x F) to every row of x.
 void AddRowBroadcast(const Matrix& bias, Matrix* x);

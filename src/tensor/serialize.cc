@@ -183,6 +183,13 @@ Status ReadMatrix(Reader* r, Device device, Matrix* out, int64_t max_elems) {
     return Status::IOError("corrupt matrix shape " + std::to_string(rows) +
                            "x" + std::to_string(cols));
   }
+  // Each element is 4 payload bytes: a shape promising more than the
+  // remaining bytes is corrupt, and is rejected before it is allocated.
+  if (static_cast<uint64_t>(rows) * static_cast<uint64_t>(cols) >
+      r->remaining() / sizeof(float)) {
+    return Status::IOError("matrix shape " + std::to_string(rows) + "x" +
+                           std::to_string(cols) + " larger than payload");
+  }
   Matrix m(rows, cols, device);
   float* d = m.data();
   for (int64_t i = 0; i < m.size(); ++i) {

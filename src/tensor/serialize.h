@@ -91,7 +91,9 @@ class Reader {
 void AppendMatrix(const Matrix& m, Writer* w);
 
 /// Reads a Matrix written by AppendMatrix onto `device`. Rejects negative
-/// or implausibly large shapes (> `max_elems` elements) with IOError.
+/// or implausibly large shapes (> `max_elems` elements), and shapes with
+/// more elements than the remaining payload holds, with IOError before
+/// allocating.
 [[nodiscard]] Status ReadMatrix(Reader* r, Device device, Matrix* out,
                                 int64_t max_elems = int64_t{1} << 32);
 

@@ -1,18 +1,24 @@
-// Register-tiled row accumulation shared by the SpMM (sparse/csr.cc) and
-// GEMM-family (tensor/ops.cc) kernels, written once with GCC vector
-// extensions and compiled twice: for AVX2 and for baseline x86-64. The
-// kernel sources include this header; nothing else should.
+// Vector kernel bodies shared by the SpMM (sparse/csr.cc) and tensor
+// (tensor/ops.cc) kernels, written once with GCC vector extensions and
+// compiled twice: for AVX2 and for baseline x86-64. Only kernel sources
+// include this header; callers reach the kernels through ops.h and csr.h.
 //
-// Every kernel here computes an output row as
-//
-//   out[j] = init[j] + s_0 * row_0[j] + s_1 * row_1[j] + ...
-//
-// over its terms t in ascending order, optionally skipping terms whose
-// scale is zero. An output tile lives in vector registers for the whole
-// term loop and is stored once, where the scalar loops these kernels
-// replaced loaded and stored it once per term. Each element still sees the
-// same multiply, then add, in the same order, so every non-NaN result bit
-// is that of the scalar loop on every ISA and at any thread count. Two
+// Three body shapes live here:
+//   * AccumulateRow: register-tiled row accumulation (SpMM, the GEMM
+//     family). An output row is
+//       out[j] = init[j] + s_0 * row_0[j] + s_1 * row_1[j] + ...
+//     over its terms t in ascending order, optionally skipping terms whose
+//     scale is zero. An output tile lives in vector registers for the whole
+//     term loop, passes through an optional epilogue (AffineRow: the
+//     recurrence step ca·v + ci·in1 + cp·in2) and is stored once.
+//   * ForEach: one elementwise step per element (axpy, scale, relu, ...),
+//     on 8-float vectors and then a scalar tail.
+//   * ReduceColumns: per-column sums over ascending rows, with the columns
+//     spread across vector lanes.
+// In each, every element sees the same multiplies and adds, in the same
+// order, as the scalar loop it replaced, whether it lands in a vector or in
+// the tail, so every non-NaN result bit is that of the scalar loop on every
+// ISA, at any thread count and at any offset of a row within its batch. Two
 // rules keep it that way (docs/PERFORMANCE.md, "Kernel ISA"):
 //   * No FMA. Neither compile enables the `fma` target, so `acc += s * x`
 //     stays a rounded multiply followed by a rounded add.
@@ -88,11 +94,63 @@ struct Term {
   const T* row;
 };
 
+/// Loads and stores of one float or one 8-float vector, so a body written
+/// once over `V` runs on both the vector part and the scalar tail.
+SGNN_SIMD_INLINE void LoadLanes(const float* p, float* v) { *v = *p; }
+SGNN_SIMD_INLINE void LoadLanes(const float* p, F32x8* v) {
+  std::memcpy(v, p, sizeof(F32x8));
+}
+/// Widening loads of one float or four floats into double lanes (exact).
+SGNN_SIMD_INLINE void LoadLanes(const float* p, double* v) { *v = *p; }
+SGNN_SIMD_INLINE void LoadLanes(const float* p, F64x4* v) {
+  F32x4 f;
+  std::memcpy(&f, p, sizeof(F32x4));
+  *v = __builtin_convertvector(f, F64x4);
+}
+SGNN_SIMD_INLINE void StoreLanes(const float& v, float* p) { *p = v; }
+SGNN_SIMD_INLINE void StoreLanes(const F32x8& v, float* p) {
+  std::memcpy(p, &v, sizeof(F32x8));
+}
+
+/// AccumulateRow epilogue that stores the accumulated tile unchanged.
+struct NoEpilogue {
+  template <typename V>
+  SGNN_SIMD_INLINE void operator()(V* /*v*/, int64_t /*j*/) const {}
+};
+
+/// AccumulateRow epilogue for one output row of a three-term recurrence
+/// step: v = ca·v, then v += ci·in1[j], then v += cp·in2[j]; a null row
+/// skips its step. Each step is a rounded multiply then a rounded add, so
+/// the row equals ops::Scale(ca) followed by ops::Axpy(ci, in1) and
+/// ops::Axpy(cp, in2), bit for bit. in1/in2 point at the output row's
+/// counterparts.
+struct AffineRow {
+  float ca, ci, cp;
+  const float* in1;
+  const float* in2;
+
+  template <typename V>
+  SGNN_SIMD_INLINE void operator()(V* v, int64_t j) const {
+    *v *= ca;
+    if (in1 != nullptr) {
+      V x;
+      LoadLanes(in1 + j, &x);
+      *v += ci * x;
+    }
+    if (in2 != nullptr) {
+      V x;
+      LoadLanes(in2 + j, &x);
+      *v += cp * x;
+    }
+  }
+};
+
 /// out[j, j + kVecs * lanes) over all terms; see AccumulateRow.
 template <typename T, int kVecs, bool kSkipZero, bool kAccumulate,
-          typename TermFn>
+          typename TermFn, typename Epilogue>
 SGNN_SIMD_INLINE void AccumulateTile(int64_t num_terms, const TermFn& term,
-                                     int64_t j, float* out) {
+                                     int64_t j, float* out,
+                                     const Epilogue& epilogue) {
   using L = Lanes<T>;
   typename L::Vec acc[kVecs] = {};
   if constexpr (kAccumulate) {
@@ -116,6 +174,7 @@ SGNN_SIMD_INLINE void AccumulateTile(int64_t num_terms, const TermFn& term,
   }
 #pragma GCC unroll 8
   for (int r = 0; r < kVecs; ++r) {
+    epilogue(&acc[r], j + r * L::kWidth);
     L::StoreVec(acc[r], out + j + r * L::kWidth);
   }
 }
@@ -123,20 +182,26 @@ SGNN_SIMD_INLINE void AccumulateTile(int64_t num_terms, const TermFn& term,
 /// out[0, width) = (kAccumulate ? out : 0) + sum_t term(t).scale *
 /// term(t).row[0, width), accumulated in T over ascending t and rounded to
 /// float once per element. kSkipZero drops terms whose scale is zero (so a
-/// zero times an Inf or NaN row entry contributes nothing). Columns go in
-/// 8-vector tiles, then single vectors, then a scalar tail.
-template <typename T, bool kSkipZero, bool kAccumulate, typename TermFn>
+/// zero times an Inf or NaN row entry contributes nothing). `epilogue`
+/// (AffineRow, or NoEpilogue) runs on each accumulated tile in registers
+/// just before it is stored. Columns go in 8-vector tiles, then single
+/// vectors, then a scalar tail.
+template <typename T, bool kSkipZero, bool kAccumulate, typename TermFn,
+          typename Epilogue = NoEpilogue>
 SGNN_SIMD_INLINE void AccumulateRow(int64_t num_terms, const TermFn& term,
-                                    int64_t width, float* out) {
+                                    int64_t width, float* out,
+                                    const Epilogue& epilogue = {}) {
   static_assert(!kAccumulate || sizeof(T) == sizeof(float),
                 "accumulating loads float outputs into float lanes only");
   constexpr int64_t kLanes = Lanes<T>::kWidth;
   int64_t j = 0;
   for (; j + 8 * kLanes <= width; j += 8 * kLanes) {
-    AccumulateTile<T, 8, kSkipZero, kAccumulate>(num_terms, term, j, out);
+    AccumulateTile<T, 8, kSkipZero, kAccumulate>(num_terms, term, j, out,
+                                                 epilogue);
   }
   for (; j + kLanes <= width; j += kLanes) {
-    AccumulateTile<T, 1, kSkipZero, kAccumulate>(num_terms, term, j, out);
+    AccumulateTile<T, 1, kSkipZero, kAccumulate>(num_terms, term, j, out,
+                                                 epilogue);
   }
   for (; j < width; ++j) {
     T acc = kAccumulate ? out[j] : T(0);
@@ -147,9 +212,87 @@ SGNN_SIMD_INLINE void AccumulateRow(int64_t num_terms, const TermFn& term,
       }
       acc += tm.scale * tm.row[j];
     }
+    epilogue(&acc, j);
     out[j] = static_cast<float>(acc);
   }
 }
+
+/// Runs `op.template Step<V>(i)` for every i in [lo, hi): with V = F32x8 on
+/// whole 8-float vectors, then with V = float on the tail. `op` writes the
+/// same expression for both, so an element's bits do not depend on whether
+/// it lands in a vector or in the tail, nor on where `lo` falls.
+template <typename Op>
+SGNN_SIMD_INLINE void ForEach(const Op& op, int64_t lo, int64_t hi) {
+  int64_t i = lo;
+  for (; i + 8 <= hi; i += 8) op.template Step<F32x8>(i);
+  for (; i < hi; ++i) op.template Step<float>(i);
+}
+
+/// Kernel body that runs ForEach; dispatch as
+/// `Dispatch<ForEachBody>(op, lo, hi)`.
+struct ForEachBody {
+  template <typename Op>
+  static SGNN_SIMD_INLINE void Run(Op op, int64_t lo, int64_t hi) {
+    ForEach(op, lo, hi);
+  }
+};
+
+/// out[j, j + kVecs * lanes) of ReduceColumns.
+template <typename T, int kVecs, typename Elem>
+SGNN_SIMD_INLINE void ReduceColumnTile(int64_t rows, const Elem& elem,
+                                       int64_t j, T* out) {
+  using L = Lanes<T>;
+  typename L::Vec acc[kVecs] = {};
+  for (int64_t i = 0; i < rows; ++i) {
+#pragma GCC unroll 8
+    for (int r = 0; r < kVecs; ++r) {
+      typename L::Vec v;
+      elem(i, j + r * L::kWidth, &v);
+      acc[r] += v;
+    }
+  }
+#pragma GCC unroll 8
+  for (int r = 0; r < kVecs; ++r) {
+    std::memcpy(out + j + r * L::kWidth, &acc[r], sizeof(acc[r]));
+  }
+}
+
+/// out[j] = 0 + sum over rows i = 0, 1, ... of elem(i, j), for j in
+/// [0, cols), accumulated in T in ascending-row order per column. `elem`
+/// writes the term of row i at column j into a T (scalar tail) or into a
+/// T vector covering columns [j, j + lanes). Columns go in 8-vector tiles,
+/// then single vectors, then a scalar tail.
+template <typename T, typename Elem>
+SGNN_SIMD_INLINE void ReduceColumns(int64_t rows, int64_t cols,
+                                    const Elem& elem, T* out) {
+  constexpr int64_t kLanes = Lanes<T>::kWidth;
+  int64_t j = 0;
+  for (; j + 8 * kLanes <= cols; j += 8 * kLanes) {
+    ReduceColumnTile<T, 8>(rows, elem, j, out);
+  }
+  for (; j + kLanes <= cols; j += kLanes) {
+    ReduceColumnTile<T, 1>(rows, elem, j, out);
+  }
+  for (; j < cols; ++j) {
+    T acc = 0;
+    for (int64_t i = 0; i < rows; ++i) {
+      T v;
+      elem(i, j, &v);
+      acc += v;
+    }
+    out[j] = acc;
+  }
+}
+
+/// Kernel body that runs ReduceColumns; dispatch as
+/// `Dispatch<ReduceColumnsBody>(elem, rows, cols, out)`.
+struct ReduceColumnsBody {
+  template <typename Elem, typename T>
+  static SGNN_SIMD_INLINE void Run(Elem elem, int64_t rows, int64_t cols,
+                                   T* out) {
+    ReduceColumns<T>(rows, cols, elem, out);
+  }
+};
 
 #if defined(__x86_64__) || defined(__i386__)
 template <typename Body, typename... Args>

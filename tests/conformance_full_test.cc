@@ -77,7 +77,7 @@ TEST(ConformanceFull, OracleAtHigherPolynomialOrder) {
   const Fixture fix = ErFixture(40, 13, 0.2);
   OracleOptions opt;
   opt.hops = 10;
-  auto reports = CheckAllFilters(fix.norm, fix.eig, fix.x, opt);
+  auto reports = CheckAllFilters(fix.norm, fix.eig, fix.x, {}, opt);
   ASSERT_TRUE(reports.ok()) << reports.status().ToString();
   for (const auto& r : reports.value()) {
     EXPECT_TRUE(r.pass) << r.filter << ": rel=" << r.rel_error
@@ -90,7 +90,7 @@ TEST(ConformanceFull, GradCheckAtHigherOrderAndMoreCoords) {
   GradCheckOptions opt;
   opt.hops = 8;
   opt.max_coords = 96;
-  auto reports = CheckAllGradients(fix.norm, fix.x, opt);
+  auto reports = CheckAllGradients(fix.norm, fix.x, {}, opt);
   ASSERT_TRUE(reports.ok()) << reports.status().ToString();
   for (const auto& r : reports.value()) {
     EXPECT_TRUE(r.pass) << r.block << ": rel=" << r.max_rel_error

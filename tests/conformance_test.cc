@@ -75,6 +75,27 @@ TEST(Oracle, AllTwentySevenFiltersMatchDenseSpectralApply) {
   }
 }
 
+// A filter list runs exactly those filters, in list order; the gradient
+// check adds its Mlp and loss blocks only to the all-filter run.
+TEST(Oracle, FilterListSelectsThoseFiltersInOrder) {
+  const Fixture fix = ErFixture(16, 5, 0.3);
+  const std::vector<std::string> names = {"ppr", "chebyshev"};
+  auto reports = CheckAllFilters(fix.norm, fix.eig, fix.x, names);
+  ASSERT_TRUE(reports.ok()) << reports.status().ToString();
+  ASSERT_EQ(reports.value().size(), 2u);
+  EXPECT_EQ(reports.value()[0].filter, "ppr");
+  EXPECT_EQ(reports.value()[1].filter, "chebyshev");
+
+  auto grads = CheckAllGradients(fix.norm, fix.x, {"chebyshev"});
+  ASSERT_TRUE(grads.ok()) << grads.status().ToString();
+  auto single = CheckFilterGradients("chebyshev", fix.norm, fix.x);
+  ASSERT_TRUE(single.ok()) << single.status().ToString();
+  ASSERT_EQ(grads.value().size(), single.value().size());
+  for (size_t i = 0; i < grads.value().size(); ++i) {
+    EXPECT_EQ(grads.value()[i].block, single.value()[i].block);
+  }
+}
+
 TEST(Oracle, MiniBatchPrecomputeMatchesFullBatchForward) {
   const Fixture fix = ErFixture(24, 19, 0.25);
   auto reports = CheckAllFilters(fix.norm, fix.eig, fix.x);

@@ -495,6 +495,25 @@ TEST(Serialize, ReaderRejectsOverrun) {
   EXPECT_EQ(s.code(), StatusCode::kIOError);
 }
 
+// A header claiming 2^26 elements (256 MB) over an 8-byte payload is
+// rejected before the matrix is allocated.
+TEST(Serialize, ReadMatrixRejectsShapeLargerThanPayload) {
+  serialize::Writer w;
+  w.PutI64(int64_t{1} << 13);
+  w.PutI64(int64_t{1} << 13);
+  w.PutF32(1.0f);
+  w.PutF32(2.0f);
+  auto& tracker = DeviceTracker::Global();
+  const size_t live = tracker.live_bytes(Device::kHost);
+  const size_t peak = tracker.peak_bytes(Device::kHost);
+  serialize::Reader r(w.buffer().data(), w.size());
+  Matrix m;
+  const Status s = serialize::ReadMatrix(&r, Device::kHost, &m);
+  EXPECT_EQ(s.code(), StatusCode::kIOError) << s.ToString();
+  EXPECT_EQ(tracker.live_bytes(Device::kHost), live);
+  EXPECT_EQ(tracker.peak_bytes(Device::kHost), peak);
+}
+
 TEST(Serialize, Crc32KnownVector) {
   // CRC-32 (reflected, 0xEDB88320) of "123456789" is 0xCBF43926.
   const char* s = "123456789";

@@ -96,21 +96,10 @@ bool RunOracle(const std::vector<std::string>& filters) {
   for (const auto& fix : BuildFixtures()) {
     std::printf("== spectral oracle on %s (n=%lld) ==\n", fix.name.c_str(),
                 static_cast<long long>(fix.norm.n()));
-    std::vector<conformance::OracleReport> reports;
-    if (filters.empty()) {
-      auto r = conformance::CheckAllFilters(fix.norm, fix.eig, fix.x);
-      SGNN_CHECK_OK(r);
-      reports = r.MoveValue();
-    } else {
-      for (const auto& name : filters) {
-        auto r = conformance::CheckSpectralConformance(name, fix.norm, fix.eig,
-                                                       fix.x);
-        SGNN_CHECK_OK(r);
-        reports.push_back(r.MoveValue());
-      }
-    }
-    std::fputs(conformance::FormatReports(reports).c_str(), stdout);
-    ok = ok && conformance::AllPass(reports);
+    auto r = conformance::CheckAllFilters(fix.norm, fix.eig, fix.x, filters);
+    SGNN_CHECK_OK(r);
+    std::fputs(conformance::FormatReports(r.value()).c_str(), stdout);
+    ok = ok && conformance::AllPass(r.value());
   }
   return ok;
 }
@@ -132,20 +121,10 @@ bool RunGradcheck(const std::vector<std::string>& filters) {
   const auto fixtures = BuildFixtures();
   const auto& fix = fixtures.front();
   std::printf("== gradient check on %s ==\n", fix.name.c_str());
-  std::vector<conformance::GradBlockReport> reports;
-  if (filters.empty()) {
-    auto r = conformance::CheckAllGradients(fix.norm, fix.x);
-    SGNN_CHECK_OK(r);
-    reports = r.MoveValue();
-  } else {
-    for (const auto& name : filters) {
-      auto r = conformance::CheckFilterGradients(name, fix.norm, fix.x);
-      SGNN_CHECK_OK(r);
-      for (auto& b : r.value()) reports.push_back(std::move(b));
-    }
-  }
-  std::fputs(conformance::FormatReports(reports).c_str(), stdout);
-  return conformance::AllPass(reports);
+  auto r = conformance::CheckAllGradients(fix.norm, fix.x, filters);
+  SGNN_CHECK_OK(r);
+  std::fputs(conformance::FormatReports(r.value()).c_str(), stdout);
+  return conformance::AllPass(r.value());
 }
 
 bool RunFuzzSweep(uint64_t base_seed, int trials,
