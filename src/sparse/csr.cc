@@ -17,31 +17,25 @@ int64_t RowGrain(int64_t n, int64_t nnz, int64_t f) {
 }
 
 /// Output rows [lo, hi) of the SpMM: each row sums its nonzeros' scaled x
-/// rows in ascending p, compiled once per ISA by simd::Dispatch. With
-/// kAffine, `ep`'s recurrence step runs on each row's tiles before they are
-/// stored (in1/in2 are the n x f operands of ops::AffineEpilogue).
-template <bool kAffine>
+/// rows in ascending p, compiled once per ISA by simd::Dispatch. `epilogue`
+/// (simd::NoEpilogue, or the recurrence step simd::AffineRow over n x f
+/// operands) runs on each row's tiles before they are stored.
+template <typename Epilogue>
 struct SpmmRows {
   static SGNN_SIMD_INLINE void Run(const int64_t* indptr,
                                    const int32_t* indices, const float* values,
                                    const float* x, int64_t f,
-                                   simd::AffineRow ep, int64_t lo, int64_t hi,
+                                   Epilogue epilogue, int64_t lo, int64_t hi,
                                    float* out) {
     for (int64_t i = lo; i < hi; ++i) {
       const int64_t begin = indptr[i];
-      const auto term = [&](int64_t t) {
-        return simd::Term<float>{values[begin + t], x + indices[begin + t] * f};
-      };
-      if constexpr (kAffine) {
-        const simd::AffineRow row{
-            ep.ca, ep.ci, ep.cp, ep.in1 != nullptr ? ep.in1 + i * f : nullptr,
-            ep.in2 != nullptr ? ep.in2 + i * f : nullptr};
-        simd::AccumulateRow<float, /*kSkipZero=*/false, /*kAccumulate=*/false>(
-            indptr[i + 1] - begin, term, f, out + i * f, row);
-      } else {
-        simd::AccumulateRow<float, /*kSkipZero=*/false, /*kAccumulate=*/false>(
-            indptr[i + 1] - begin, term, f, out + i * f);
-      }
+      simd::AccumulateRow<float, /*kSkipZero=*/false, /*kAccumulate=*/false>(
+          indptr[i + 1] - begin,
+          [&](int64_t t) {
+            return simd::Term<float>{values[begin + t],
+                                     x + indices[begin + t] * f};
+          },
+          f, out + i * f, epilogue.AtOffset(i * f));
     }
   }
 };
@@ -146,10 +140,9 @@ void CsrMatrix::SpMM(const Matrix& x, Matrix* out) const {
   // the parallel result is bit-identical to the serial one.
   parallel::ParallelFor(
       0, n_, RowGrain(n_, nnz(), f), [&](int64_t lo, int64_t hi) {
-        simd::Dispatch<SpmmRows<false>>(indptr_.data(), indices_.data(),
-                                        values_.data(), x.data(), f,
-                                        simd::AffineRow{}, lo, hi,
-                                        out->data());
+        simd::Dispatch<SpmmRows<simd::NoEpilogue>>(
+            indptr_.data(), indices_.data(), values_.data(), x.data(), f,
+            simd::NoEpilogue{}, lo, hi, out->data());
       });
 }
 
@@ -170,9 +163,9 @@ void CsrMatrix::SpMM(const Matrix& x, const ops::AffineEpilogue& ep,
                             ep.in2 != nullptr ? ep.in2->data() : nullptr};
   parallel::ParallelFor(
       0, n_, RowGrain(n_, nnz(), f), [&](int64_t lo, int64_t hi) {
-        simd::Dispatch<SpmmRows<true>>(indptr_.data(), indices_.data(),
-                                       values_.data(), x.data(), f, row, lo,
-                                       hi, out->data());
+        simd::Dispatch<SpmmRows<simd::AffineRow>>(
+            indptr_.data(), indices_.data(), values_.data(), x.data(), f, row,
+            lo, hi, out->data());
       });
 }
 

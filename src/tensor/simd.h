@@ -114,6 +114,9 @@ SGNN_SIMD_INLINE void StoreLanes(const F32x8& v, float* p) {
 
 /// AccumulateRow epilogue that stores the accumulated tile unchanged.
 struct NoEpilogue {
+  SGNN_SIMD_INLINE NoEpilogue AtOffset(int64_t /*offset*/) const {
+    return *this;
+  }
   template <typename V>
   SGNN_SIMD_INLINE void operator()(V* /*v*/, int64_t /*j*/) const {}
 };
@@ -128,6 +131,12 @@ struct AffineRow {
   float ca, ci, cp;
   const float* in1;
   const float* in2;
+
+  /// The epilogue for the row that starts `offset` elements further on.
+  SGNN_SIMD_INLINE AffineRow AtOffset(int64_t offset) const {
+    return {ca, ci, cp, in1 != nullptr ? in1 + offset : nullptr,
+            in2 != nullptr ? in2 + offset : nullptr};
+  }
 
   template <typename V>
   SGNN_SIMD_INLINE void operator()(V* v, int64_t j) const {
